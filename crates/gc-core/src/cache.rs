@@ -1477,6 +1477,10 @@ impl GraphCache {
                 .entry(source)
                 .map(|e| e.answer.clone())
                 .unwrap_or_default();
+            // Unpin before the Window can flush: while this view holds the
+            // shard `Arc`s, an inline round would copy every shard it
+            // patches instead of patching it in place.
+            drop(snapshot);
             record.exact_hit = true;
             record.cs_gc_size = 0;
             record.answer_size = answer.len();
@@ -1538,6 +1542,9 @@ impl GraphCache {
             .collect();
         let mut pruned = pruner::prune(&m_out.candidates, &expanding_answers, &restricting_answers);
         record.cs_gc_size = pruned.remaining.len();
+        // The cache view is no longer read: unpin its shards so a flush by
+        // this query (or by a concurrent one) patches them in place.
+        drop(snapshot);
 
         // (4b): fragment-layer pruning. The query's canonical fragments
         // probe the fragment store; surviving candidates are intersected
@@ -1568,10 +1575,10 @@ impl GraphCache {
                             // the entry-level Statistics Manager: R is the
                             // candidate reduction, C the estimated matcher
                             // work avoided on the removed candidates.
-                            let saved: f64 = idset::difference(&pruned.remaining, &narrowed)
-                                .iter()
-                                .map(|&id| cost::estimate(query, self.method.dataset().graph(id)))
-                                .sum();
+                            let saved = self.saved_cost(
+                                query,
+                                &idset::difference(&pruned.remaining, &narrowed),
+                            );
                             frags.credit(&probe.hit_ids, removed, saved, serial);
                         }
                         pruned.remaining = narrowed;
@@ -1632,11 +1639,7 @@ impl GraphCache {
         query: &LabeledGraph,
         answer: &[GraphId],
     ) {
-        let saved_cost: f64 = answer
-            .iter()
-            .map(|&id| cost::estimate(query, self.method.dataset().graph(id)))
-            .sum();
-        let saved_cost = saved_cost.max(1.0);
+        let saved_cost = self.saved_cost(query, answer).max(1.0);
         {
             let mut stats = self.shared.stats.lock();
             if !stats.contains_row(source) {
@@ -1668,7 +1671,6 @@ impl GraphCache {
         if pruned.contributions.is_empty() {
             return;
         }
-        let dataset = self.method.dataset();
         let mut hit_events: Vec<(QuerySerial, f64)> = Vec::new();
         {
             let mut stats = self.shared.stats.lock();
@@ -1685,11 +1687,7 @@ impl GraphCache {
                 }
                 let mut saved = 0.0;
                 if !c.removed.is_empty() {
-                    saved = c
-                        .removed
-                        .iter()
-                        .map(|&id| cost::estimate(query, dataset.graph(id)))
-                        .sum();
+                    saved = self.saved_cost(query, &c.removed);
                     stats.add_int(c.serial, columns::R_TOTAL, c.removed.len() as i64);
                     stats.add_float(c.serial, columns::C_TOTAL, saved);
                 }
@@ -1704,6 +1702,25 @@ impl GraphCache {
                 eviction.on_hit(serial, now, saved);
             }
         }
+    }
+
+    /// The §5.2 matcher work a hit avoided: `c(query, G)` summed over the
+    /// dataset graphs `ids` it spared from testing. `L` comes from the
+    /// dataset's distinct-label column, so no label vector is sorted here;
+    /// each term is the same `cost::estimate_raw` call `cost::estimate`
+    /// makes, summed in the same order, so the total is bit-identical.
+    fn saved_cost(&self, query: &LabeledGraph, ids: &[GraphId]) -> f64 {
+        let dataset = self.method.dataset();
+        let n = query.node_count() as u64;
+        ids.iter()
+            .map(|&id| {
+                cost::estimate_raw(
+                    n,
+                    dataset.graph(id).node_count() as u64,
+                    dataset.distinct_label_count(id) as u64,
+                )
+            })
+            .sum()
     }
 
     /// Adds the executed query to the Window; flushes when full. Returns
@@ -1743,6 +1760,7 @@ impl GraphCache {
             kind,
             profile,
             fingerprint,
+            distinct_labels: query.distinct_label_count() as u32,
             filter_us,
             verify_us,
             expensiveness,
@@ -1893,6 +1911,42 @@ mod tests {
             r.record.cs_gc_size < r.record.cs_m_size,
             "pruning must shrink the candidate set"
         );
+    }
+
+    /// A query drops its own snapshot before it can flush the Window, so a
+    /// sequential round patches the shard in place (same `Arc`), whether a
+    /// verified miss or an exact hit fills the window. Copy-on-write under
+    /// a concurrent reader is pinned by
+    /// `window::tests::inflight_reader_keeps_old_shard_state`.
+    #[test]
+    fn sequential_flush_patches_shard_in_place() {
+        let method = MethodBuilder::ggsx().build(&dataset());
+        let gc = GraphCache::builder()
+            .capacity(10)
+            .window(2)
+            .shards(1)
+            .cost_model(CostModel::Work)
+            .build(method);
+        let shard_ptr = || Arc::as_ptr(&*gc.shared.shards[0].read());
+        gc.run(&path_graph(&[0, 1]));
+        gc.run(&path_graph(&[0, 1, 0]));
+        assert_eq!(gc.cache_len(), 2, "first round seeds the shard");
+
+        let before = shard_ptr();
+        gc.run(&path_graph(&[1, 2]));
+        let flush = gc.run(&path_graph(&[0, 1, 2]));
+        assert!(!flush.record.exact_hit);
+        assert_eq!(gc.maint_stats().rounds, 2);
+        assert_eq!(gc.cache_len(), 4, "verified-path flush admitted");
+        assert_eq!(shard_ptr(), before, "verified-path flush patched in place");
+
+        let before = shard_ptr();
+        gc.run(&path_graph(&[2, 1, 0, 1]));
+        let flush = gc.run(&path_graph(&[0, 1]));
+        assert!(flush.record.exact_hit);
+        assert_eq!(gc.maint_stats().rounds, 3);
+        assert_eq!(gc.cache_len(), 6, "exact-hit flush admitted");
+        assert_eq!(shard_ptr(), before, "exact-hit flush patched in place");
     }
 
     #[test]

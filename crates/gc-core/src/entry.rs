@@ -94,6 +94,9 @@ pub fn shard_for(serial: QuerySerial, shards: usize) -> usize {
 /// debt grows. Shards are patched through `Arc::make_mut` by the Window
 /// Manager: with no concurrent reader holding the `Arc` the patch is
 /// in-place, otherwise it copies-on-write and readers keep the old state.
+/// A query releases its own snapshot before it can flush the Window, so a
+/// sequential round always patches in place; only another in-flight
+/// query's pin forces the copy.
 #[derive(Debug, Clone)]
 pub struct Shard {
     /// Entry per slot, aligned with the index; `None` marks a tombstone.
@@ -195,6 +198,15 @@ impl Shard {
     /// fingerprint into the exact-match map. The serial must not already be
     /// live in this shard.
     pub fn insert(&mut self, entry: Arc<CacheEntry>) {
+        let distinct_labels = entry.graph.distinct_label_count() as u32;
+        self.insert_counted(entry, distinct_labels);
+    }
+
+    /// [`insert`](Self::insert) with the graph's distinct-label count
+    /// already known (the Window computes it once per query; compaction
+    /// carries it over from the old slot), so admission never re-sorts the
+    /// label vector.
+    pub(crate) fn insert_counted(&mut self, entry: Arc<CacheEntry>, distinct_labels: u32) {
         let slot = self.index.insert_profile(
             entry.serial,
             (
@@ -207,8 +219,7 @@ impl Shard {
         self.exact.entry(entry.fingerprint).or_default().push(slot);
         self.fingerprints.push(entry.fingerprint);
         self.kinds.push(entry.kind);
-        self.distinct_labels
-            .push(entry.graph.distinct_label_count() as u32);
+        self.distinct_labels.push(distinct_labels);
         let offset = self.answers.len() as u32;
         self.answers.extend_from_slice(&entry.answer);
         self.answer_ranges.push((offset, entry.answer.len() as u32));
@@ -311,10 +322,7 @@ impl Shard {
     /// full-rebuild fallback, O(|shard|). Non-mutating so the Window
     /// Manager can build it off-lock and swap it in with a pointer store.
     pub fn compacted(&self) -> Shard {
-        Shard::build(
-            self.index.config(),
-            self.live_entries().cloned().collect::<Vec<_>>(),
-        )
+        self.rebuilt(self.live_counted().collect())
     }
 
     /// In-place [`compacted`](Self::compacted) (owned-state callers).
@@ -334,9 +342,27 @@ impl Shard {
         K: Ord,
         F: Fn(QuerySerial) -> K,
     {
-        let mut live: Vec<Arc<CacheEntry>> = self.live_entries().cloned().collect();
-        live.sort_by_cached_key(|e| (rank(e.serial), e.serial));
-        Shard::build(self.index.config(), live)
+        let mut live: Vec<(Arc<CacheEntry>, u32)> = self.live_counted().collect();
+        live.sort_by_cached_key(|(e, _)| (rank(e.serial), e.serial));
+        self.rebuilt(live)
+    }
+
+    /// Live entries in slot order, each with its packed distinct-label
+    /// count (so a rebuild reuses the column instead of recounting).
+    fn live_counted(&self) -> impl Iterator<Item = (Arc<CacheEntry>, u32)> + '_ {
+        self.entries
+            .iter()
+            .zip(&self.distinct_labels)
+            .filter_map(|(e, &labels)| e.as_ref().map(|e| (e.clone(), labels)))
+    }
+
+    /// A dense shard over `live` in the given order, same configuration.
+    fn rebuilt(&self, live: Vec<(Arc<CacheEntry>, u32)>) -> Shard {
+        let mut shard = Shard::empty(self.index.config());
+        for (e, labels) in live {
+            shard.insert_counted(e, labels);
+        }
+        shard
     }
 
     /// Approximate memory footprint of entries + index + exact map + packed

@@ -18,6 +18,12 @@
 //! and their `Arc`s are untouched, so maintenance cost is
 //! O(delta + touched shards), not O(|cache|).
 //!
+//! An inline flush (no background manager) runs on the thread of the
+//! query that filled the Window, and only after that query has released
+//! its own snapshot pins. A sequential round therefore always patches in
+//! place; the O(|shard|) copy is paid only when another in-flight query
+//! still holds the shard — exactly the case the invariant below needs.
+//!
 //! Tombstoned slots keep their index postings until the shard's
 //! *compaction threshold* is crossed (`MaintenanceConfig::compact_debt`,
 //! default 50% dead slots), at which point that shard alone falls back to
@@ -74,6 +80,10 @@ pub struct WindowEntry {
     /// The query's iso fingerprint (computed during execution; carried into
     /// the cache entry so admission never re-hashes the graph).
     pub fingerprint: u64,
+    /// The query's distinct-label count, computed once when the query
+    /// enters the Window and shared by the shard's packed column and the
+    /// statistics row (counting sorts the label vector).
+    pub distinct_labels: u32,
     /// Total filtering time (µs) on first execution.
     pub filter_us: f64,
     /// Total verification time (µs) on first execution.
@@ -417,16 +427,30 @@ pub(crate) fn maintain(
     for &v in &victims {
         removes[shard_for(v, n)].push(v);
     }
-    let mut inserts: Vec<Vec<Arc<CacheEntry>>> = vec![Vec::new(); n];
-    for e in &admitted {
-        inserts[shard_for(e.serial, n)].push(Arc::new(CacheEntry {
+    // The Window entries are consumed here: graph, answer and profile move
+    // into the cache entries, and only the statistics-row inputs stay
+    // behind for step (4).
+    let mut inserts: Vec<Vec<(Arc<CacheEntry>, u32)>> = vec![Vec::new(); n];
+    let mut seeds: Vec<RowSeed> = Vec::with_capacity(admitted.len());
+    for e in admitted {
+        seeds.push(RowSeed {
             serial: e.serial,
-            graph: e.graph.clone(), // Arc clone — no graph copy
-            answer: e.answer.clone(),
+            nodes: e.graph.node_count(),
+            edges: e.graph.edge_count(),
+            distinct_labels: e.distinct_labels,
+            filter_us: e.filter_us,
+            verify_us: e.verify_us,
+            expensiveness: e.expensiveness,
+        });
+        let entry = CacheEntry {
+            serial: e.serial,
+            graph: e.graph,
+            answer: e.answer,
             kind: e.kind,
-            profile: e.profile.clone(),
+            profile: e.profile,
             fingerprint: e.fingerprint,
-        }));
+        };
+        inserts[shard_for(e.serial, n)].push((Arc::new(entry), e.distinct_labels));
     }
     let mut shards_patched = 0u64;
     let mut compactions = 0u64;
@@ -446,8 +470,8 @@ pub(crate) fn maintain(
             for v in removes {
                 shard.remove(v);
             }
-            for e in inserts {
-                shard.insert(e);
+            for (e, distinct_labels) in inserts {
+                shard.insert_counted(e, distinct_labels);
             }
             // Either debt signal triggers the rebuild: slot tombstones or
             // postings-arena rot (evicting feature-rich entries can waste
@@ -505,14 +529,10 @@ pub(crate) fn maintain(
         for v in &victims {
             stats.remove_row(*v);
         }
-        for e in &admitted {
-            stats.set(e.serial, columns::NODES, e.graph.node_count() as i64);
-            stats.set(e.serial, columns::EDGES, e.graph.edge_count() as i64);
-            stats.set(
-                e.serial,
-                columns::LABELS,
-                e.graph.distinct_label_count() as i64,
-            );
+        for e in &seeds {
+            stats.set(e.serial, columns::NODES, e.nodes as i64);
+            stats.set(e.serial, columns::EDGES, e.edges as i64);
+            stats.set(e.serial, columns::LABELS, e.distinct_labels as i64);
             stats.set(e.serial, columns::FILTER_US, e.filter_us);
             stats.set(e.serial, columns::VERIFY_US, e.verify_us);
             stats.set(e.serial, columns::EXPENSIVENESS, e.expensiveness);
@@ -525,12 +545,24 @@ pub(crate) fn maintain(
         victim_select,
         index_delta,
         stats_upkeep,
-        admitted.len(),
+        seeds.len(),
         victims.len(),
         shards_patched,
         compactions,
     );
     record_round(shared, t0)
+}
+
+/// What step (4) of [`maintain`] writes into an admitted query's
+/// statistics row, kept once the Window entry has moved into the cache.
+struct RowSeed {
+    serial: QuerySerial,
+    nodes: usize,
+    edges: usize,
+    distinct_labels: u32,
+    filter_us: f64,
+    verify_us: f64,
+    expensiveness: f64,
 }
 
 /// Books one finished maintenance round into the overhead counters and
@@ -589,6 +621,7 @@ mod tests {
         let fingerprint = gc_index::fingerprint::iso_hash(&graph);
         WindowEntry {
             serial,
+            distinct_labels: graph.distinct_label_count() as u32,
             graph: Arc::new(graph),
             answer: vec![GraphId(0)],
             kind: QueryKind::Subgraph,

@@ -28,12 +28,24 @@ impl fmt::Display for GraphId {
 #[derive(Debug, Clone, Default)]
 pub struct GraphDataset {
     graphs: Vec<LabeledGraph>,
+    /// Per-graph distinct-label counts, aligned with `graphs`. Built once
+    /// here because the §5.2 cost estimate needs `L` for every graph of
+    /// every cache hit, and counting sorts the graph's label vector.
+    distinct_labels: Vec<u32>,
 }
 
 impl GraphDataset {
     /// Creates a dataset from a vector of graphs.
     pub fn new(graphs: Vec<LabeledGraph>) -> Self {
-        GraphDataset { graphs }
+        let mut buf = Vec::new();
+        let distinct_labels = graphs
+            .iter()
+            .map(|g| g.distinct_label_count_in(&mut buf) as u32)
+            .collect();
+        GraphDataset {
+            graphs,
+            distinct_labels,
+        }
     }
 
     /// Number of graphs in the dataset.
@@ -52,6 +64,14 @@ impl GraphDataset {
     #[inline]
     pub fn graph(&self, id: GraphId) -> &LabeledGraph {
         &self.graphs[id.index()]
+    }
+
+    /// Number of distinct labels in the graph with the given id, read from
+    /// the column built with the dataset (equal to
+    /// [`LabeledGraph::distinct_label_count`], without the sort).
+    #[inline]
+    pub fn distinct_label_count(&self, id: GraphId) -> u32 {
+        self.distinct_labels[id.index()]
     }
 
     /// All graphs in id order.
@@ -76,6 +96,7 @@ impl GraphDataset {
     /// Appends a graph, returning its id.
     pub fn push(&mut self, g: LabeledGraph) -> GraphId {
         let id = GraphId(self.graphs.len() as u32);
+        self.distinct_labels.push(g.distinct_label_count() as u32);
         self.graphs.push(g);
         id
     }
@@ -200,6 +221,19 @@ mod tests {
         assert_eq!(ids, vec![GraphId(0), GraphId(1)]);
         assert_eq!(d.graph(GraphId(1)).node_count(), 3);
         assert_eq!(format!("{}", GraphId(1)), "G1");
+    }
+
+    #[test]
+    fn label_column_matches_graphs() {
+        let mut d = small_dataset();
+        d.push(LabeledGraph::from_parts(vec![4, 4, 4], &[(0, 1), (1, 2)]));
+        for (id, g) in d.iter() {
+            assert_eq!(
+                d.distinct_label_count(id) as usize,
+                g.distinct_label_count()
+            );
+        }
+        assert_eq!(d.distinct_label_count(GraphId(2)), 1);
     }
 
     #[test]

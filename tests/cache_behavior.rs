@@ -167,3 +167,34 @@ fn gc_memory_stays_modest_relative_to_ftv_index() {
         "GC stores ({gc_bytes} B) not small vs index ({index_bytes} B)"
     );
 }
+
+/// Hit credit reads `L` from the dataset's distinct-label column instead
+/// of sorting each graph's labels. For every graph of an AIDS-shaped
+/// dataset and every query size up to 25 nodes, the column-fed estimate
+/// must equal the reference `cost::estimate` to the bit, so `C_TOTAL` and
+/// every policy decision that reads it stay unchanged.
+#[test]
+fn label_column_cost_is_bit_identical() {
+    use graphcache::subiso::cost;
+    let d = dataset();
+    for n in 1..=25u32 {
+        let edges: Vec<(u32, u32)> = (1..n).map(|v| (v - 1, v)).collect();
+        let q = LabeledGraph::from_parts((0..n).map(|v| v % 3).collect(), &edges);
+        for (id, g) in d.iter() {
+            assert_eq!(
+                d.distinct_label_count(id) as usize,
+                g.distinct_label_count()
+            );
+            let column = cost::estimate_raw(
+                n as u64,
+                g.node_count() as u64,
+                d.distinct_label_count(id) as u64,
+            );
+            assert_eq!(
+                column.to_bits(),
+                cost::estimate(&q, g).to_bits(),
+                "n={n} graph {id}"
+            );
+        }
+    }
+}

@@ -37,10 +37,13 @@ fn queries(dataset: &GraphDataset, count: usize) -> Vec<graphcache::graph::Label
 /// side of the parity test. The deterministic work-proxy cost model keeps
 /// admission/eviction decisions a pure function of the query sequence, so
 /// two separately-built caches replaying the same queries stay in
-/// lockstep.
+/// lockstep. One thread: `run_batch` fans out over the configured thread
+/// count and promises no serial order across threads, while the served
+/// side replays strictly in order.
 fn make_cache(dataset: &GraphDataset) -> GraphCache {
     let method = MethodBuilder::ggsx().build(dataset);
     GraphCache::builder()
+        .threads(1)
         .capacity(25)
         .window(8)
         .eviction("hd")
