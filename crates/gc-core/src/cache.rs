@@ -449,8 +449,6 @@ pub struct QueryRequest {
     pub timeout_ms: Option<u64>,
     /// Restricts the hit-verification sweep to these candidate serials
     /// (see [`VerifyOptions::allowed`](crate::VerifyOptions::allowed)).
-    /// Normally set only by the `gc route` front-end, which merges
-    /// per-peer [`GraphCache::probe_candidates`] slices into this set.
     /// Restriction only removes candidates, so answers are unaffected —
     /// a missing serial just means less pruning. `None` = no filter.
     pub allow: Option<Vec<QuerySerial>>,
@@ -1383,11 +1381,8 @@ impl GraphCache {
     /// with no matcher tests, no serial consumption and no statistics
     /// side effects (see
     /// [`processors::candidate_serials`](crate::candidate_serials)).
-    ///
-    /// This is the cache half of the routed-fleet `PROBE` frame: each peer
-    /// enumerates its candidates, keeps the slice of the fingerprint space
-    /// it owns, and the router merges the slices into
-    /// [`QueryRequest::allow_serials`] for the executing peer.
+    /// Passing (a subset of) these serials to
+    /// [`QueryRequest::allow_serials`] restricts a query's sweep.
     pub fn probe_candidates(
         &self,
         query: &LabeledGraph,

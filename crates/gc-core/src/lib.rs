@@ -96,7 +96,7 @@ pub use cache::{
 pub use entry::{shard_for, CacheEntry, CacheSnapshot, Shard};
 pub use gc_fragments::FragmentConfig;
 pub use gc_methods::QueryKind;
-pub use metrics::{MaintStats, QueryRecord, RouteCounters, RunCounters, RunSummary};
+pub use metrics::{MaintStats, QueryRecord, RunCounters, RunSummary};
 pub use persist::{
     PersistFormat, PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles,
 };

@@ -337,44 +337,6 @@ impl RunCounters {
     }
 }
 
-/// Traffic-placement counters kept by the `gc route` front-end — how many
-/// queries took the exact-repeat fast lane, how many candidate probes were
-/// fanned out, and how often a dead peer degraded a slice to miss-only.
-///
-/// These live *outside* the deterministic counter schema on purpose:
-/// [`RunCounters::deterministic_counters`] and
-/// [`MaintStats::deterministic_counters`] are frozen wire/baseline schemas
-/// (1-peer and N-peer routed runs must produce byte-identical vectors, and
-/// `peer_misses` is nonzero only when topology — not the query sequence —
-/// changes). The router appends them to its `STATS` payload as extra keys,
-/// which every consumer of the deterministic schema ignores.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouteCounters {
-    /// Queries whose fingerprint was already seen by the router: sent
-    /// straight to the owning peer with no candidate fan-out (the routed
-    /// form of the O(1) exact-repeat fast path).
-    pub routed_exact: u64,
-    /// Candidate probes (`PROBE` frames) fanned out to peers. One query
-    /// probing three live peers counts three.
-    pub fanout_probes: u64,
-    /// Peer failures absorbed as degraded slices: a probe or apply that
-    /// found its peer dead, or an owning peer lost mid-query (the query is
-    /// then executed cache-bypassed on the survivors).
-    pub peer_misses: u64,
-}
-
-impl RouteCounters {
-    /// Stable `(name, value)` list, in declaration order — the keys the
-    /// router appends to its proxied `STATS` payload.
-    pub fn stats_counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("routed_exact", self.routed_exact),
-            ("fanout_probes", self.fanout_probes),
-            ("peer_misses", self.peer_misses),
-        ]
-    }
-}
-
 /// Aggregates over a run of queries; the paper's reported metrics are
 /// "query time and number of sub-iso tests per query, along with the
 /// speedups introduced by GC" (§7.2).
@@ -618,35 +580,6 @@ mod tests {
         assert_eq!(maint.len(), 8);
         let values: Vec<u64> = maint.iter().map(|(_, v)| *v).collect();
         assert_eq!(values, (1..=8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn route_counters_enumeration_is_complete_and_stable() {
-        let r = RouteCounters {
-            routed_exact: 1,
-            fanout_probes: 2,
-            peer_misses: 3,
-        };
-        let listed = r.stats_counters();
-        assert_eq!(listed.len(), 3);
-        let values: Vec<u64> = listed.iter().map(|(_, v)| *v).collect();
-        assert_eq!(values, vec![1, 2, 3]);
-        // Route counters must never collide with the frozen deterministic
-        // schema — they ride in the same STATS namespace.
-        let frozen: Vec<&str> = RunCounters::default()
-            .deterministic_counters()
-            .into_iter()
-            .map(|(k, _)| k)
-            .chain(
-                MaintStats::default()
-                    .deterministic_counters()
-                    .into_iter()
-                    .map(|(k, _)| k),
-            )
-            .collect();
-        for (k, _) in listed {
-            assert!(!frozen.contains(&k), "{k} collides with baseline schema");
-        }
     }
 
     #[test]

@@ -143,14 +143,6 @@ pub struct VerifyOptions {
     /// supersedes pruning and costs O(1) to confirm. Restriction only ever
     /// removes candidates, so the result is always a sound subset: fewer
     /// hits mean less pruning, never a wrong answer. `None` = no filter.
-    ///
-    /// This is the routed fleet's merge point: the `gc route` front-end
-    /// probes every peer for its slice of the candidate space and passes
-    /// the merged serial set here, so a query executed on one peer sweeps
-    /// exactly the candidates the whole fleet would. With every peer live
-    /// the union covers the full set and the filter is a no-op (counter
-    /// parity with a single process); a dead peer's slice is simply absent
-    /// (degraded to miss-only).
     pub allowed: Option<Vec<QuerySerial>>,
 }
 
@@ -334,7 +326,7 @@ pub fn find_hits_opts(
     // distinct-label count is computed once here instead of per candidate
     // (`distinct_label_count` sorts the label vector on every call).
     let q_distinct = hq.query.distinct_label_count() as u64;
-    // Candidate restriction (routed mode): serials outside the allow set
+    // Candidate restriction: serials outside the allow set
     // never enter the queue. A sorted list + binary search keeps the gather
     // a pure column scan.
     let allow = opts.allowed.as_deref();
@@ -435,13 +427,10 @@ pub fn find_hits_opts(
 /// match; same-size slots require fingerprint equality; the super list's
 /// same-size slots are skipped) with no matcher tests, no budget
 /// accounting and no statistics side effects. Each serial is paired with
-/// the candidate entry's iso fingerprint so a routed peer can keep only
-/// the slice of the fingerprint space it owns.
+/// the candidate entry's iso fingerprint.
 ///
-/// The result is sorted ascending and deduplicated, so slice-filtered
-/// lists from N peers holding identical replicas merge back into exactly
-/// this set — the property the router's [`VerifyOptions::allowed`] merge
-/// relies on for single-process counter parity.
+/// The result is sorted ascending and deduplicated, so passing the full
+/// set as [`VerifyOptions::allowed`] leaves the sweep unchanged.
 pub fn candidate_serials(snapshot: &CacheSnapshot, hq: &HitQuery<'_>) -> Vec<(QuerySerial, u64)> {
     let qn = hq.query.node_count() as u32;
     let qm = hq.query.edge_count() as u32;
@@ -838,8 +827,8 @@ mod tests {
         let pairs = candidate_serials(&snap, &hq);
         let full: Vec<QuerySerial> = pairs.iter().map(|&(s, _)| s).collect();
 
-        // Slicing the pairs by any fingerprint partition and merging the
-        // slices reassembles the full set — the router's merge invariant.
+        // Partitioning the pairs by fingerprint and merging the parts
+        // reassembles the full set.
         let mut merged: Vec<QuerySerial> = pairs
             .iter()
             .filter(|&&(_, fp)| fp % 2 == 0)
@@ -872,7 +861,7 @@ mod tests {
             path_graph(&[0, 1]),       // 200: super candidate
         ]);
         let g = path_graph(&[0, 1, 0]);
-        // Only serial 100 allowed: the super hit vanishes (degraded slice),
+        // Only serial 100 allowed: the super hit vanishes,
         // the sub hit survives, nothing panics.
         let hits = run_opts(
             &snap,

@@ -81,10 +81,10 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
 
 /// Builds the scenario's cache over a freshly built Method M. Factored
 /// out so the persistence cycle can stand up a second, identically
-/// configured cache to restore into, and public so the served/routed
-/// bench runners construct their daemons' caches (one per fleet peer)
-/// through the exact same path — any construction drift would show up
-/// as counter drift against the shared baseline.
+/// configured cache to restore into, and public so the served bench
+/// runner constructs its daemon's cache through the exact same path —
+/// any construction drift would show up as counter drift against the
+/// shared baseline.
 pub fn build_cache(
     scenario: &Scenario,
     dataset: &gc_graph::GraphDataset,

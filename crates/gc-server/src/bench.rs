@@ -10,13 +10,10 @@
 //! assembled in the *identical* counter order. The point is the
 //! acceptance bar of the daemon: served counters must be **byte-identical**
 //! to `gc bench`'s in-process counters for the same seeds, so the same
-//! committed `benches/baseline.json` gates both paths. That parity is
-//! the correctness spine for routing queries to remote caches later
-//! (ROADMAP item 5).
+//! committed `benches/baseline.json` gates both paths.
 
 use crate::client::{Client, ClientError, QueryOutcome, RetryPolicy};
 use crate::proto::{QueryFrame, StatsScope};
-use crate::router::{PeerIdentity, Router, RouterConfig};
 use crate::server::{ServeConfig, Server};
 use gc_core::{QueryRecord, RunCounters};
 use gc_harness::{build_cache, MatrixReport, Scenario, ScenarioReport, Suite, SCHEMA_VERSION};
@@ -96,10 +93,8 @@ pub fn run_scenario_served(scenario: &Scenario) -> Result<ScenarioReport, String
 
 /// Counter assembly in the runner's exact order: run counters
 /// reconstructed from the replayed records, then maintenance, then final
-/// cache shape from STATS. Extra STATS keys (a routed fleet appends
-/// `routed_exact`/`fanout_probes`/`peer_misses`/`peers_live`/
-/// `peers_total`) are deliberately ignored — the deterministic baseline
-/// schema is frozen, and routing counters sit outside it.
+/// cache shape from STATS. Extra STATS keys (the server gauges) are
+/// deliberately ignored — the deterministic baseline schema is frozen.
 fn assemble_counters(
     scenario: &Scenario,
     records: &[QueryRecord],
@@ -133,150 +128,6 @@ fn assemble_counters(
         counters.push((key.to_string(), value));
     }
     Ok(counters)
-}
-
-/// Runs one scenario through a routed fleet: `peers` daemons, each a full
-/// replica owning a consistent-hash slice of the fingerprint space,
-/// fronted by a [`Router`] on its own socket. The replay is the same
-/// single sequential client session as [`run_scenario_served`], pointed
-/// at the router. The acceptance bar is the tentpole's determinism gate:
-/// for any fleet size, the assembled counters are byte-identical to the
-/// in-process runner's (and therefore to a 1-peer fleet's) for the same
-/// seeds.
-pub fn run_scenario_routed(scenario: &Scenario, peers: usize) -> Result<ScenarioReport, String> {
-    if peers == 0 {
-        return Err("a routed fleet needs at least one peer".into());
-    }
-    let t0 = Instant::now();
-    let dataset = scenario
-        .dataset
-        .clone()
-        .scaled(scenario.dataset_scale)
-        .generate(scenario.dataset_seed);
-    let workload = scenario.workload.generate(
-        &dataset,
-        &scenario.query_sizes,
-        scenario.queries,
-        scenario.workload_seed,
-    );
-
-    // Every peer is a full replica: same dataset, same deterministic
-    // construction, so re-executing the routed stream keeps them in
-    // lockstep.
-    let mut fleet_handles = Vec::new();
-    let mut fleet_daemons = Vec::new();
-    let mut peer_sockets = Vec::new();
-    let mut boot = || -> Result<(), String> {
-        for index in 0..peers {
-            let cache = build_cache(scenario, &dataset)?;
-            let socket = scratch_socket(&format!("{}-peer{index}", scenario.name));
-            let server = Server::bind(
-                cache,
-                ServeConfig {
-                    unix: Some(socket.clone()),
-                    peer: PeerIdentity::new(index as u64, peers as u64),
-                    ..ServeConfig::default()
-                },
-            )
-            .map_err(|e| format!("scenario {:?}: cannot bind {socket:?}: {e}", scenario.name))?;
-            fleet_handles.push(server.shutdown_handle());
-            fleet_daemons.push(std::thread::spawn(move || server.run()));
-            peer_sockets.push(socket);
-        }
-        Ok(())
-    };
-    if let Err(e) = boot() {
-        drain_fleet(&fleet_handles, fleet_daemons, &peer_sockets);
-        return Err(e);
-    }
-
-    let router_socket = scratch_socket(&format!("{}-router", scenario.name));
-    let router = match Router::bind(RouterConfig {
-        unix: router_socket.clone(),
-        peers: peer_sockets.clone(),
-        retry: RetryPolicy::with_attempts(10),
-        handle_signals: false,
-    }) {
-        Ok(router) => router,
-        Err(e) => {
-            drain_fleet(&fleet_handles, fleet_daemons, &peer_sockets);
-            return Err(format!(
-                "scenario {:?}: cannot bind router {router_socket:?}: {e}",
-                scenario.name
-            ));
-        }
-    };
-    let router_shutdown = router.shutdown_handle();
-    let router_daemon = std::thread::spawn(move || router.run());
-
-    // The replay's final SHUTDOWN stops the router only; peers are
-    // drained directly below.
-    let served = serve_workload(&router_socket, workload.graphs());
-    if served.is_err() {
-        router_shutdown.shutdown();
-    }
-    let router_result = router_daemon
-        .join()
-        .map_err(|_| format!("scenario {:?}: router thread panicked", scenario.name));
-    drain_fleet(&fleet_handles, fleet_daemons, &peer_sockets);
-    let _ = std::fs::remove_file(&router_socket);
-    let (records, stats) = served.map_err(|e| format!("scenario {:?}: {e}", scenario.name))?;
-    router_result?.map_err(|e| format!("scenario {:?}: router failed: {e}", scenario.name))?;
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    Ok(ScenarioReport {
-        name: scenario.name.clone(),
-        config: scenario.config_echo(),
-        counters: assemble_counters(scenario, &records, &stats)?,
-        wall_ms,
-    })
-}
-
-/// Drains every peer daemon and unlinks its socket; failures are
-/// swallowed because this also runs on error paths where the interesting
-/// error is already in flight.
-fn drain_fleet(
-    handles: &[crate::server::ShutdownHandle],
-    daemons: Vec<std::thread::JoinHandle<Result<(), crate::server::ServeError>>>,
-    sockets: &[PathBuf],
-) {
-    for handle in handles {
-        handle.shutdown();
-    }
-    for daemon in daemons {
-        let _ = daemon.join();
-    }
-    for socket in sockets {
-        let _ = std::fs::remove_file(socket);
-    }
-}
-
-/// Runs every scenario of a suite through a routed fleet, in order, with
-/// the same progress-callback shape as [`gc_harness::run_suite_with`].
-pub fn run_suite_routed_with<F>(
-    suite: Suite,
-    peers: usize,
-    mut progress: F,
-) -> Result<MatrixReport, String>
-where
-    F: FnMut(&ScenarioReport),
-{
-    let mut scenarios = Vec::new();
-    for scenario in suite.scenarios() {
-        let report = run_scenario_routed(&scenario, peers)?;
-        progress(&report);
-        scenarios.push(report);
-    }
-    Ok(MatrixReport {
-        schema_version: SCHEMA_VERSION,
-        suite: suite.name().to_string(),
-        scenarios,
-    })
-}
-
-/// Runs every scenario of a suite through a routed fleet, in order.
-pub fn run_suite_routed(suite: Suite, peers: usize) -> Result<MatrixReport, String> {
-    run_suite_routed_with(suite, peers, |_| {})
 }
 
 /// What one served replay produces: per-query records (for run-counter
@@ -425,29 +276,5 @@ mod tests {
             in_process.counter("fragment_probes").unwrap_or(0) > 0,
             "the parity check must actually exercise the fragment path"
         );
-    }
-
-    /// The routed determinism gate, base case: a 1-peer fleet behind the
-    /// router produces the in-process counters byte-identically.
-    #[test]
-    fn routed_counters_match_in_process_one_peer() {
-        let s = tiny("routed-parity-1");
-        let in_process = run_scenario(&s).expect("in-process run");
-        let routed = run_scenario_routed(&s, 1).expect("routed run");
-        assert_eq!(routed.counters, in_process.counters);
-        assert_eq!(routed.config, in_process.config);
-    }
-
-    /// The routed determinism gate, tentpole case: a 3-peer fleet —
-    /// probe fanout, allow-restricted queries, lockstep ROUTE replication
-    /// — still produces the in-process counters byte-identically, because
-    /// with all peers live the union of per-slice candidate sets is the
-    /// full candidate set and the allow restriction is a no-op.
-    #[test]
-    fn routed_counters_match_in_process_three_peers() {
-        let s = tiny("routed-parity-3");
-        let in_process = run_scenario(&s).expect("in-process run");
-        let routed = run_scenario_routed(&s, 3).expect("routed run");
-        assert_eq!(routed.counters, in_process.counters);
     }
 }

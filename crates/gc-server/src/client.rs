@@ -7,11 +7,9 @@
 
 use crate::proto::{
     encode_request, parse_response, FrameEvent, FrameReader, ProtoError, QueryFrame, Request,
-    Response, ResultFrame, StatsScope, PROTO_VERSION,
+    Response, ResultFrame, StatsScope,
 };
 use crate::server::Conn;
-use gc_graph::LabeledGraph;
-use gc_methods::QueryKind;
 use std::io::Write;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
@@ -186,23 +184,6 @@ pub enum QueryOutcome {
     },
 }
 
-/// The outcome of [`Client::route`]: the replica applied the frame (and
-/// reports the serial its counter stream assigned) or rejected it with
-/// backpressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteOutcome {
-    /// The replica executed the routed frame; its serial counter now
-    /// stands at this value for the applied query.
-    Applied(u64),
-    /// The admission-permit pool was saturated; the frame did not run.
-    Busy {
-        /// Permits in use at rejection time.
-        inflight: u64,
-        /// Pool size.
-        max: u64,
-    },
-}
-
 /// The outcome of [`Client::hold`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HoldOutcome {
@@ -224,7 +205,6 @@ pub struct Client {
     session: u64,
     max_inflight: u64,
     server_proto: u64,
-    peer: Option<(u64, u64)>,
     timeout: Option<Duration>,
 }
 
@@ -280,7 +260,6 @@ impl Client {
             session: 0,
             max_inflight: 0,
             server_proto: 0,
-            peer: None,
             timeout: None,
         };
         match client.recv()? {
@@ -288,12 +267,10 @@ impl Client {
                 proto,
                 session,
                 max_inflight,
-                peer,
             } => {
                 client.session = session;
                 client.max_inflight = max_inflight;
                 client.server_proto = proto;
-                client.peer = peer;
                 Ok(client)
             }
             other => Err(ClientError::Unexpected(Box::new(other))),
@@ -313,25 +290,6 @@ impl Client {
     /// The protocol version the server greeted with.
     pub fn server_proto(&self) -> u64 {
         self.server_proto
-    }
-
-    /// The server's routed-peer identity `(index, total)` from `HELLO`,
-    /// when it serves as part of a fleet (`gc serve --peer-id`).
-    pub fn peer(&self) -> Option<(u64, u64)> {
-        self.peer
-    }
-
-    /// Announces this client's protocol version and returns the
-    /// negotiated one (the minimum of both sides). Routed peers refuse
-    /// `QUERY`/`PROBE`/`ROUTE` traffic from sessions that have not
-    /// announced proto >= 4 — call this once right after connecting.
-    pub fn announce(&mut self) -> Result<u64, ClientError> {
-        match self.request(&Request::Version {
-            proto: PROTO_VERSION,
-        })? {
-            Response::Version { proto } => Ok(proto),
-            other => Err(ClientError::Unexpected(Box::new(other))),
-        }
     }
 
     /// Bounds every subsequent read on this session: when the server goes
@@ -444,58 +402,6 @@ impl Client {
         loop {
             match self.query(frame.clone())? {
                 QueryOutcome::Busy { .. } if attempt < policy.attempts => {
-                    std::thread::sleep(policy.delay(attempt));
-                    attempt += 1;
-                }
-                outcome => return Ok(outcome),
-            }
-        }
-    }
-
-    /// `PROBE`: asks the server which cached-entry serials are hit
-    /// candidates for `graph` under `kind`. A fleet peer reports only the
-    /// candidates whose entry fingerprints fall in its ring slice; the
-    /// router unions the slices back into the full candidate set.
-    pub fn probe(
-        &mut self,
-        id: u64,
-        graph: LabeledGraph,
-        kind: Option<QueryKind>,
-    ) -> Result<Vec<u64>, ClientError> {
-        match self.request(&Request::Probe { id, graph, kind })? {
-            Response::Cands { id: got, cands } if got == id => Ok(cands),
-            other => Err(ClientError::Unexpected(Box::new(other))),
-        }
-    }
-
-    /// Submits one `ROUTE` apply frame — the router's replication path.
-    /// The replica executes the query exactly as a `QUERY` would (its
-    /// cache state and serial counter must advance in lockstep with the
-    /// owner's) but acknowledges with the compact `ROUTED` frame.
-    pub fn route(&mut self, frame: QueryFrame) -> Result<RouteOutcome, ClientError> {
-        let id = frame.id;
-        match self.request(&Request::Route(frame))? {
-            Response::Routed { id: got, serial } if got == id => Ok(RouteOutcome::Applied(serial)),
-            Response::Busy {
-                id: busy_id,
-                inflight,
-                max,
-            } if busy_id == id => Ok(RouteOutcome::Busy { inflight, max }),
-            other => Err(ClientError::Unexpected(Box::new(other))),
-        }
-    }
-
-    /// [`Client::route`] with `BUSY` retries under `policy`, mirroring
-    /// [`Client::query_with_retry`].
-    pub fn route_with_retry(
-        &mut self,
-        frame: QueryFrame,
-        policy: &RetryPolicy,
-    ) -> Result<RouteOutcome, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.route(frame.clone())? {
-                RouteOutcome::Busy { .. } if attempt < policy.attempts => {
                     std::thread::sleep(policy.delay(attempt));
                     attempt += 1;
                 }

@@ -21,13 +21,9 @@
 //!   snapshot persistence;
 //! * [`client`] — a small blocking [`Client`] used by `gc ctl`,
 //!   `gc query --connect`, and the tests;
-//! * [`router`] — `gc route`: the fingerprint-routing front-end that
-//!   fans one query stream across a fleet of routed peers (consistent
-//!   hashing over iso-fingerprints, probe fanout, lockstep replication);
-//! * [`mod@bench`] — served-mode suite execution for `gc bench --serve`
-//!   and `gc bench --route`, which pins the acceptance bar: counters
-//!   served over the socket — through one daemon or a routed fleet —
-//!   are byte-identical to the in-process runner's for the same seeds.
+//! * [`mod@bench`] — served-mode suite execution for `gc bench --serve`,
+//!   which pins the acceptance bar: counters served over the socket are
+//!   byte-identical to the in-process runner's for the same seeds.
 //!
 //! The one `unsafe` block in the workspace lives here, fenced inside
 //! `server::signal`: a two-line `signal(2)` binding (std has no signal
@@ -40,13 +36,11 @@
 pub mod bench;
 pub mod client;
 pub mod proto;
-pub mod router;
 pub mod server;
 
-pub use client::{Client, ClientError, HoldOutcome, QueryOutcome, RetryPolicy, RouteOutcome};
+pub use client::{Client, ClientError, HoldOutcome, QueryOutcome, RetryPolicy};
 pub use proto::{
     FrameReader, ProtoError, QueryFrame, Request, Response, ResultFrame, StatsScope,
     MAX_FRAME_BYTES, PROTO_VERSION,
 };
-pub use router::{PeerIdentity, Ring, Router, RouterConfig, RouterShutdownHandle};
 pub use server::{ServeConfig, ServeError, Server, ShutdownHandle};

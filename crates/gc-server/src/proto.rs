@@ -10,14 +10,12 @@
 //! ```text
 //! client → server                      server → client
 //! ---------------                      ---------------
-//! PING [token=T]                       HELLO proto=4 session=N max_inflight=N
-//! VERSION proto=N                            [peer=I/N]
-//! QUERY id=N graph=G [kind=sub|super]  VERSION proto=N
-//!       [budget=N] [max_hits=N]        PONG [token=T]
-//!       [bypass=1] [timeout=N]         RESULT id=N serial=N answers=N ids=L …
-//!       [allow=L]                      BUSY id=N inflight=N max=N
-//! PROBE id=N graph=G [kind=sub|super]  CANDS id=N cands=L
-//! ROUTE id=N graph=G [… QUERY tokens]  ROUTED id=N serial=N
+//! PING [token=T]                       HELLO proto=5 session=N max_inflight=N
+//! VERSION proto=N                      VERSION proto=N
+//! QUERY id=N graph=G [kind=sub|super]  PONG [token=T]
+//!       [budget=N] [max_hits=N]        RESULT id=N serial=N answers=N ids=L …
+//!       [bypass=1] [timeout=N]         BUSY id=N inflight=N max=N
+//!       [allow=L]
 //! STATS [scope=mine|settle]            STATS k=v …
 //! HOLD                                 HELD
 //! RELEASE                              RELEASED
@@ -69,15 +67,13 @@ use std::io::Read;
 /// accept a `timeout=` token (per-query deadline in milliseconds, expiry
 /// answered with `ERR code=deadline`), `RESULT` frames carry the
 /// `deadline` field, and global `STATS` replies add `deadline_aborts`,
-/// `snapshots_written` and `recovered_generation`; 4 — the routed-peer
-/// fleet: `HELLO` advertises a `peer=I/N` identity on routed peers,
-/// `VERSION proto=N` announces the client's protocol level (a routed peer
-/// answers `QUERY`/`PROBE`/`ROUTE` from un-announced or pre-4 sessions
-/// with `ERR code=version`), `PROBE`/`CANDS` enumerate slice-filtered
-/// candidate serials, `ROUTE`/`ROUTED` apply a query to a replica for
-/// deterministic lockstep, and `QUERY` accepts an `allow=` serial list
-/// restricting the hit-verification sweep.
-pub const PROTO_VERSION: u64 = 4;
+/// `snapshots_written` and `recovered_generation`; 4 — `VERSION proto=N`
+/// announces the client's protocol level, `QUERY` accepts an `allow=`
+/// serial list restricting the hit-verification sweep, plus the
+/// routed-fleet frames; 5 — the fleet frames are removed again (`PROBE`,
+/// `ROUTE`, their replies, `HELLO`'s `peer=` and the `version` error code);
+/// `VERSION` and `allow=` stay.
+pub const PROTO_VERSION: u64 = 5;
 
 /// Hard cap on one frame's byte length (newline excluded). A frame beyond
 /// the cap is a [`ProtoError::TooLarge`]; since the remainder of the
@@ -185,8 +181,8 @@ pub struct QueryFrame {
     /// Per-query deadline in milliseconds; the server answers expiry with
     /// `ERR code=deadline`.
     pub timeout_ms: Option<u64>,
-    /// Restricts the hit-verification sweep to these candidate serials
-    /// (the router's merged `CANDS` slices). `None` = no restriction.
+    /// Restricts the hit-verification sweep to these cached-entry
+    /// serials. `None` = no restriction.
     pub allow: Option<Vec<u64>>,
 }
 
@@ -195,31 +191,14 @@ pub struct QueryFrame {
 pub enum Request {
     /// Liveness probe; the optional token is echoed back.
     Ping(Option<String>),
-    /// Announce the client's protocol level (proto 4+). Routed peers
-    /// require an announcement of at least 4 before serving
-    /// `QUERY`/`PROBE`/`ROUTE`; everywhere else it is informational.
+    /// Announce the client's protocol level (proto 4+). Informational:
+    /// every frame works without it.
     Version {
         /// The highest protocol version the client speaks.
         proto: u64,
     },
     /// Execute a query.
     Query(QueryFrame),
-    /// Enumerate the candidate serials the hit sweep would consider for
-    /// this graph — a pure read. A routed peer answers only the slice of
-    /// the fingerprint space it owns.
-    Probe {
-        /// Client-chosen correlation id, echoed on `CANDS`.
-        id: u64,
-        /// The query graph.
-        graph: LabeledGraph,
-        /// Per-query direction override.
-        kind: Option<QueryKind>,
-    },
-    /// Apply a query to this replica for deterministic lockstep: execute
-    /// it exactly like `QUERY` (same admission, maintenance and serial
-    /// consumption) but answer with the compact `ROUTED` frame instead of
-    /// a full `RESULT`.
-    Route(QueryFrame),
     /// Read counters.
     Stats(StatsScope),
     /// Take one admission permit out of the pool (operator quiesce) until
@@ -260,10 +239,6 @@ pub enum Response {
         session: u64,
         /// The admission-permit pool size (size of the in-flight window).
         max_inflight: u64,
-        /// `(index, total)` when this daemon serves as routed peer
-        /// `index` of a `total`-peer fleet; `None` for a standalone
-        /// daemon (and on every pre-4 peer).
-        peer: Option<(u64, u64)>,
     },
     /// Reply to `VERSION`: echoes the version the server will speak with
     /// this session (the minimum of both sides' levels).
@@ -285,22 +260,6 @@ pub enum Response {
         /// Pool size.
         max: u64,
     },
-    /// Reply to `PROBE`: the slice-filtered candidate serials.
-    Cands {
-        /// Echo of the request's correlation id.
-        id: u64,
-        /// Candidate serials this peer owns, sorted ascending (`-` on the
-        /// wire when empty).
-        cands: Vec<u64>,
-    },
-    /// Reply to `ROUTE`: the replica applied the query.
-    Routed {
-        /// Echo of the request's correlation id.
-        id: u64,
-        /// The serial this replica assigned — must match the owner's
-        /// serial when the fleet is in lockstep.
-        serial: u64,
-    },
     /// Counter snapshot; keys follow the deterministic-counter naming.
     Stats(Vec<(String, u64)>),
     /// `HOLD` succeeded.
@@ -316,9 +275,8 @@ pub enum Response {
     /// `too-large` or `io`.
     Err {
         /// Stable error-code slug ([`ProtoError::code`] plus server codes
-        /// like `max-sessions`, `not-holding`, `already-holding`,
-        /// `deadline`, and `version` for a routed peer refusing a session
-        /// that has not announced proto ≥ 4).
+        /// like `max-sessions`, `not-holding`, `already-holding` and
+        /// `deadline`).
         code: String,
         /// Human-readable detail.
         msg: String,
@@ -526,8 +484,8 @@ fn parse_id_list(raw: &str) -> Result<Vec<u32>, ProtoError> {
         .collect()
 }
 
-/// Serial lists (`allow=`, `cands=`) carry 64-bit query serials; the same
-/// `-` convention marks an empty list.
+/// Serial lists (`allow=`) carry 64-bit query serials; the same `-`
+/// convention marks an empty list.
 fn encode_serial_list(serials: &[u64]) -> String {
     if serials.is_empty() {
         return "-".into();
@@ -576,9 +534,8 @@ fn parse_kind(args: &[&str]) -> Result<Option<QueryKind>, ProtoError> {
 // Request codec
 // ---------------------------------------------------------------------------
 
-/// The shared token tail of `QUERY` and `ROUTE` frames.
-fn encode_query_tokens(q: &QueryFrame) -> String {
-    let mut out = format!("id={} graph={}", q.id, encode_graph(&q.graph));
+fn encode_query(q: &QueryFrame) -> String {
+    let mut out = format!("QUERY id={} graph={}", q.id, encode_graph(&q.graph));
     if let Some(kind) = q.kind {
         let _ = write!(out, " kind={}", kind_name(kind));
     }
@@ -600,9 +557,9 @@ fn encode_query_tokens(q: &QueryFrame) -> String {
     out
 }
 
-fn parse_query_frame(args: &[&str], frame: &str) -> Result<QueryFrame, ProtoError> {
-    let id = parse_u64(require(args, "id", frame)?, "id")?;
-    let graph = parse_graph(require(args, "graph", frame)?)?;
+fn parse_query_frame(args: &[&str]) -> Result<QueryFrame, ProtoError> {
+    let id = parse_u64(require(args, "id", "QUERY")?, "id")?;
+    let graph = parse_graph(require(args, "graph", "QUERY")?)?;
     let kind = parse_kind(args)?;
     let verify_budget = find_value(args, "budget")
         .map(|v| parse_u64(v, "budget"))
@@ -644,15 +601,7 @@ pub fn encode_request(req: &Request) -> String {
         Request::Ping(None) => "PING".into(),
         Request::Ping(Some(token)) => format!("PING token={token}"),
         Request::Version { proto } => format!("VERSION proto={proto}"),
-        Request::Query(q) => format!("QUERY {}", encode_query_tokens(q)),
-        Request::Route(q) => format!("ROUTE {}", encode_query_tokens(q)),
-        Request::Probe { id, graph, kind } => {
-            let mut out = format!("PROBE id={id} graph={}", encode_graph(graph));
-            if let Some(kind) = kind {
-                let _ = write!(out, " kind={}", kind_name(*kind));
-            }
-            out
-        }
+        Request::Query(q) => encode_query(q),
         Request::Stats(scope) => match scope.name() {
             None => "STATS".into(),
             Some(name) => format!("STATS scope={name}"),
@@ -677,13 +626,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         "VERSION" => Ok(Request::Version {
             proto: parse_u64(require(args, "proto", "VERSION")?, "proto")?,
         }),
-        "QUERY" => Ok(Request::Query(parse_query_frame(args, "QUERY")?)),
-        "ROUTE" => Ok(Request::Route(parse_query_frame(args, "ROUTE")?)),
-        "PROBE" => Ok(Request::Probe {
-            id: parse_u64(require(args, "id", "PROBE")?, "id")?,
-            graph: parse_graph(require(args, "graph", "PROBE")?)?,
-            kind: parse_kind(args)?,
-        }),
+        "QUERY" => Ok(Request::Query(parse_query_frame(args)?)),
         "STATS" => match find_value(args, "scope") {
             None => Ok(Request::Stats(StatsScope::Global)),
             Some("mine") => Ok(Request::Stats(StatsScope::Mine)),
@@ -713,20 +656,8 @@ pub fn encode_response(resp: &Response) -> String {
             proto,
             session,
             max_inflight,
-            peer,
-        } => {
-            let mut out =
-                format!("HELLO proto={proto} session={session} max_inflight={max_inflight}");
-            if let Some((index, total)) = peer {
-                let _ = write!(out, " peer={index}/{total}");
-            }
-            out
-        }
+        } => format!("HELLO proto={proto} session={session} max_inflight={max_inflight}"),
         Response::Version { proto } => format!("VERSION proto={proto}"),
-        Response::Cands { id, cands } => {
-            format!("CANDS id={id} cands={}", encode_serial_list(cands))
-        }
-        Response::Routed { id, serial } => format!("ROUTED id={id} serial={serial}"),
         Response::Pong(None) => "PONG".into(),
         Response::Pong(Some(token)) => format!("PONG token={token}"),
         Response::Result(r) => {
@@ -770,26 +701,9 @@ pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
             proto: parse_u64(require(args, "proto", "HELLO")?, "proto")?,
             session: parse_u64(require(args, "session", "HELLO")?, "session")?,
             max_inflight: parse_u64(require(args, "max_inflight", "HELLO")?, "max_inflight")?,
-            peer: match find_value(args, "peer") {
-                None => None,
-                Some(raw) => {
-                    let (index, total) = raw.split_once('/').ok_or_else(|| {
-                        ProtoError::malformed(format!("invalid peer= value {raw:?} (want I/N)"))
-                    })?;
-                    Some((parse_u64(index, "peer")?, parse_u64(total, "peer")?))
-                }
-            },
         }),
         "VERSION" => Ok(Response::Version {
             proto: parse_u64(require(args, "proto", "VERSION")?, "proto")?,
-        }),
-        "CANDS" => Ok(Response::Cands {
-            id: parse_u64(require(args, "id", "CANDS")?, "id")?,
-            cands: parse_serial_list(require(args, "cands", "CANDS")?)?,
-        }),
-        "ROUTED" => Ok(Response::Routed {
-            id: parse_u64(require(args, "id", "ROUTED")?, "id")?,
-            serial: parse_u64(require(args, "serial", "ROUTED")?, "serial")?,
         }),
         "PONG" => Ok(Response::Pong(
             find_value(args, "token").map(|t| t.to_string()),
@@ -998,7 +912,7 @@ mod tests {
         let requests = vec![
             Request::Ping(None),
             Request::Ping(Some("abc123".into())),
-            Request::Version { proto: 4 },
+            Request::Version { proto: 5 },
             Request::Query(QueryFrame {
                 id: 42,
                 graph: sample_graph(),
@@ -1028,26 +942,6 @@ mod tests {
                 bypass: false,
                 timeout_ms: None,
                 allow: Some(Vec::new()), // empty allow list ≠ no allow list
-            }),
-            Request::Probe {
-                id: 7,
-                graph: sample_graph(),
-                kind: Some(QueryKind::Subgraph),
-            },
-            Request::Probe {
-                id: 8,
-                graph: LabeledGraph::from_parts(vec![2], &[]),
-                kind: None,
-            },
-            Request::Route(QueryFrame {
-                id: 11,
-                graph: sample_graph(),
-                kind: None,
-                verify_budget: Some(9),
-                max_hits: None,
-                bypass: false,
-                timeout_ms: None,
-                allow: Some(vec![300]),
             }),
             Request::Stats(StatsScope::Global),
             Request::Stats(StatsScope::Mine),
@@ -1079,24 +973,8 @@ mod tests {
                 proto: PROTO_VERSION,
                 session: 7,
                 max_inflight: 4,
-                peer: None,
             },
-            Response::Hello {
-                proto: PROTO_VERSION,
-                session: 8,
-                max_inflight: 1,
-                peer: Some((2, 3)),
-            },
-            Response::Version { proto: 4 },
-            Response::Cands {
-                id: 5,
-                cands: vec![100, 300, u64::MAX],
-            },
-            Response::Cands {
-                id: 6,
-                cands: Vec::new(),
-            },
-            Response::Routed { id: 7, serial: 99 },
+            Response::Version { proto: 5 },
             Response::Pong(None),
             Response::Pong(Some("tok".into())),
             Response::Result(ResultFrame {
@@ -1172,6 +1050,9 @@ mod tests {
             "QUERY id=1 graph=1:1: kind=diagonal",
             "QUERY id=1 graph=1:1: bypass=yes",
             "STATS scope=theirs",
+            // Proto 5 removed the fleet frames; they are unknown keywords.
+            "PROBE id=1 graph=1:1:",
+            "ROUTE id=1 graph=1:1:",
         ] {
             match parse_request(bad) {
                 Err(ProtoError::Malformed { .. }) => {}

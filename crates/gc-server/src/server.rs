@@ -37,7 +37,6 @@ use crate::proto::{
     encode_response, parse_request, FrameEvent, FrameReader, ProtoError, QueryFrame, Request,
     Response, StatsScope, PROTO_VERSION,
 };
-use crate::router::{PeerIdentity, Ring};
 use gc_core::{GraphCache, QueryRequest, RunCounters};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -161,12 +160,6 @@ pub struct ServeConfig {
     /// Install SIGTERM/SIGINT handlers that trigger graceful drain (the
     /// CLI daemon sets this; in-process test servers leave it off).
     pub handle_signals: bool,
-    /// Serve as routed peer `index` of a `total`-peer fleet: `HELLO`
-    /// advertises the identity, `PROBE` replies are filtered to the
-    /// consistent-hash slice of the fingerprint space this peer owns, and
-    /// `QUERY`/`PROBE`/`ROUTE` require the session to announce
-    /// `VERSION proto>=4` first (`None` = standalone daemon, no gate).
-    pub peer: Option<PeerIdentity>,
 }
 
 impl Default for ServeConfig {
@@ -181,7 +174,6 @@ impl Default for ServeConfig {
             snapshot_every: None,
             persist_format: gc_core::PersistFormat::default(),
             handle_signals: false,
-            peer: None,
         }
     }
 }
@@ -250,10 +242,6 @@ struct Shared {
     persist_format: gc_core::PersistFormat,
     /// Snapshot generations committed while serving (periodic saves).
     snapshots_written: AtomicU64,
-    /// Routed-peer identity, when serving as part of a fleet.
-    peer: Option<PeerIdentity>,
-    /// The fleet's consistent-hash ring (present iff `peer` is).
-    ring: Option<Ring>,
 }
 
 impl Shared {
@@ -468,8 +456,6 @@ impl Server {
                 persist_on_exit: cfg.persist_on_exit.clone(),
                 persist_format: cfg.persist_format,
                 snapshots_written: AtomicU64::new(0),
-                peer: cfg.peer,
-                ring: cfg.peer.map(|p| Ring::new(p.total)),
             }),
             listeners,
             drain_timeout: cfg.drain_timeout,
@@ -617,10 +603,6 @@ struct Session {
     counters: RunCounters,
     /// This session currently holds one quiesce permit (`HOLD`).
     holding: bool,
-    /// Highest protocol version the client announced via `VERSION`
-    /// (`None` until it does). Routed peers refuse query traffic from
-    /// sessions that have not announced proto >= 4.
-    announced: Option<u64>,
 }
 
 impl Session {
@@ -630,7 +612,6 @@ impl Session {
             id,
             counters: RunCounters::default(),
             holding: false,
-            announced: None,
         }
     }
 
@@ -646,7 +627,6 @@ impl Session {
             proto: PROTO_VERSION,
             session: self.id,
             max_inflight: self.shared.max_inflight as u64,
-            peer: self.shared.peer.map(|p| (p.index, p.total)),
         };
         if send(&mut conn, &hello).is_err() {
             return;
@@ -752,70 +732,16 @@ impl Session {
         );
     }
 
-    /// Routed peers refuse query traffic from sessions that have not
-    /// announced a compatible protocol: a proto-3 client would silently
-    /// ignore `allow=` restrictions and desynchronise the fleet.
-    fn version_refusal(&self, what: &str) -> Option<Response> {
-        self.shared.peer?;
-        match self.announced {
-            Some(proto) if proto >= 4 => None,
-            Some(proto) => Some(Response::Err {
-                code: "version".into(),
-                msg: format!(
-                    "routed peer requires proto>=4 for {what}; session announced proto {proto}"
-                ),
-            }),
-            None => Some(Response::Err {
-                code: "version".into(),
-                msg: format!("routed peer requires `VERSION proto=4` before {what}"),
-            }),
-        }
-    }
-
     fn answer(&mut self, conn: &mut Conn, req: Request) -> std::io::Result<()> {
         match req {
             Request::Ping(token) => send(conn, &Response::Pong(token)),
-            Request::Version { proto } => {
-                self.announced = Some(proto);
-                send(
-                    conn,
-                    &Response::Version {
-                        proto: proto.min(PROTO_VERSION),
-                    },
-                )
-            }
-            Request::Query(frame) => {
-                if let Some(refusal) = self.version_refusal("QUERY") {
-                    return send(conn, &refusal);
-                }
-                let reply = self.run_query(frame, false);
-                send(conn, &reply)
-            }
-            Request::Probe { id, graph, kind } => {
-                if let Some(refusal) = self.version_refusal("PROBE") {
-                    return send(conn, &refusal);
-                }
-                let pairs = self.shared.cache.probe_candidates(&graph, kind);
-                let cands: Vec<u64> = match (self.shared.peer, &self.shared.ring) {
-                    // A fleet peer reports only the candidates whose
-                    // entry fingerprints fall in its ring slice; the
-                    // router unions the slices back together.
-                    (Some(peer), Some(ring)) => pairs
-                        .into_iter()
-                        .filter(|&(_, fp)| ring.owner(fp) == peer.index)
-                        .map(|(serial, _)| serial)
-                        .collect(),
-                    _ => pairs.into_iter().map(|(serial, _)| serial).collect(),
-                };
-                send(conn, &Response::Cands { id, cands })
-            }
-            Request::Route(frame) => {
-                if let Some(refusal) = self.version_refusal("ROUTE") {
-                    return send(conn, &refusal);
-                }
-                let reply = self.run_query(frame, true);
-                send(conn, &reply)
-            }
+            Request::Version { proto } => send(
+                conn,
+                &Response::Version {
+                    proto: proto.min(PROTO_VERSION),
+                },
+            ),
+            Request::Query(frame) => send(conn, &self.run_query(frame)),
             Request::Stats(StatsScope::Mine) => {
                 let counters: Vec<(String, u64)> = self
                     .counters
@@ -889,12 +815,8 @@ impl Session {
         }
     }
 
-    /// Admission + execution of one `QUERY` or `ROUTE` frame. A routed
-    /// apply (`routed = true`) executes identically — every replica must
-    /// advance its serial counter and cache state in lockstep — but
-    /// answers with the compact `ROUTED id= serial=` acknowledgement
-    /// instead of a full RESULT.
-    fn run_query(&mut self, frame: QueryFrame, routed: bool) -> Response {
+    /// Admission + execution of one `QUERY` frame.
+    fn run_query(&mut self, frame: QueryFrame) -> Response {
         if let Err(inflight) = self.shared.try_acquire() {
             self.shared.busy_rejections.fetch_add(1, Ordering::SeqCst);
             return Response::Busy {
@@ -940,12 +862,6 @@ impl Session {
                     frame.id,
                     frame.timeout_ms.unwrap_or(0)
                 ),
-            };
-        }
-        if routed {
-            return Response::Routed {
-                id: frame.id,
-                serial: response.result.serial,
             };
         }
         Response::Result(crate::proto::ResultFrame {

@@ -22,14 +22,14 @@
 //!   [--max-sessions N] [--max-inflight N] [--drain-timeout SECS]
 //!   [--persist-on-exit DIR] [--restore DIR]` runs the long-lived cache
 //!   daemon speaking the line-delimited wire protocol of `gc_server`;
-//! * `gc route --unix PATH --peers SOCK,SOCK,... [--retries N]
-//!   [--retry-seed S]` runs the fingerprint-routing front-end over a
-//!   fleet of `gc serve --peer-id` daemons (see `docs/architecture.md`);
 //! * `gc ctl (--unix PATH | --tcp ADDR) [--timeout SECS] [--retries N]
 //!   ping|stats|shutdown` sends one control frame to a running daemon;
 //! * `gc query --connect unix:PATH|ADDR --queries FILE [--retries N]
 //!   [--retry-seed S] [--timeout-ms MS]` replays a query file against a
 //!   running daemon instead of an in-process cache.
+//!
+//! Every subcommand accepts only the options listed for it; anything else
+//! is a usage error.
 //!
 //! `gc serve` flags:
 //!
@@ -55,10 +55,6 @@
 //! * `--snapshot-every SECS` — also write a background snapshot to the
 //!   `--persist-on-exit` directory every SECS seconds while serving,
 //!   without blocking queries (requires `--persist-on-exit`);
-//! * `--peer-id I/N` — serve as routed peer `I` of an `N`-peer fleet
-//!   behind `gc route`: `HELLO` advertises the identity, `PROBE` replies
-//!   are filtered to the peer's consistent-hash slice of the fingerprint
-//!   space, and query traffic requires a proto-4 `VERSION` announcement;
 //! * the cache-construction flags of `gc query` (`--method`,
 //!   `--eviction`, `--admission`, `--capacity`, `--window`, `--threads`,
 //!   `--shards`, `--verify-budget`, `--verify-threads`, `--fragments`,
@@ -83,20 +79,15 @@
 //! * `--serve` — run every scenario through the `gc serve` daemon on a
 //!   private unix socket instead of in-process calls. Counters are
 //!   byte-identical to the in-process path for the same seeds, so the
-//!   same committed baseline gates both (`--serve --check`);
-//! * `--route N` — run every scenario through an `N`-peer routed fleet
-//!   behind a `gc route` front-end on private unix sockets. The
-//!   determinism gate: counters are byte-identical to the in-process
-//!   path — and therefore identical for every fleet size — so the same
-//!   committed baseline gates `--route 1` and `--route 3` alike.
+//!   same committed baseline gates both (`--serve --check`).
 //!
 //! # Exit codes
 //!
 //! * `0` — success;
 //! * `1` — runtime failure (I/O errors, malformed datasets, missing
 //!   `--restore` state, protocol errors on a live connection);
-//! * `2` — usage error (unknown subcommand/flag value, missing required
-//!   option, unknown profile/workload/method/policy/suite name);
+//! * `2` — usage error (unknown subcommand, option or flag value, missing
+//!   required option, unknown profile/workload/method/policy/suite name);
 //! * `3` — benchmark regression: `gc bench --check` found deterministic
 //!   counters drifting beyond tolerance;
 //! * `4` — daemon unreachable: `gc ctl` / `gc query --connect` could not
@@ -168,8 +159,7 @@ use graphcache::graph::{io, GraphDataset};
 use graphcache::harness::{MatrixReport, Suite};
 use graphcache::methods::{Method, MethodKind};
 use graphcache::server::{
-    Client, ClientError, PeerIdentity, QueryFrame, QueryOutcome, RetryPolicy, Router, RouterConfig,
-    ServeConfig, Server, StatsScope,
+    Client, ClientError, QueryFrame, QueryOutcome, RetryPolicy, ServeConfig, Server, StatsScope,
 };
 use graphcache::workload::{
     generate_type_a, generate_type_b, DatasetProfile, TypeAConfig, TypeBConfig,
@@ -207,7 +197,7 @@ impl CliError {
 type CliResult = Result<(), CliError>;
 
 fn print_usage() {
-    eprintln!("usage: gc <generate|stats|workload|query|bench|serve|route|ctl> [options]");
+    eprintln!("usage: gc <generate|stats|workload|query|bench|serve|ctl> [options]");
     eprintln!("  gc generate --profile aids|pdbs|pcm|synthetic [--scale F] [--seed N] --out FILE");
     eprintln!("  gc stats FILE");
     eprintln!(
@@ -225,13 +215,11 @@ fn print_usage() {
     eprintln!(
         "  gc bench [--suite smoke|paper|policies|fragments|restore] [--json FILE] [--timings]"
     );
-    eprintln!("           [--list]");
-    eprintln!("           [--check BASELINE] [--tolerance PCT] [--serve] [--route N]");
+    eprintln!("           [--list] [--check BASELINE] [--tolerance PCT] [--serve]");
     eprintln!("  gc serve --dataset FILE (--listen ADDR | --unix PATH) [--max-sessions N]");
     eprintln!("           [--max-inflight N] [--drain-timeout SECS] [--persist-on-exit DIR]");
-    eprintln!("           [--snapshot-every SECS] [--restore DIR] [--peer-id I/N]");
+    eprintln!("           [--snapshot-every SECS] [--restore DIR] [--persist-format text|binary]");
     eprintln!("           [cache flags as for gc query]");
-    eprintln!("  gc route --unix PATH --peers SOCK,SOCK,... [--retries N] [--retry-seed S]");
     eprintln!("  gc ctl (--unix PATH | --tcp ADDR) [--timeout SECS] [--retries N]");
     eprintln!("         ping|stats|shutdown");
 }
@@ -247,7 +235,6 @@ fn main() -> ExitCode {
             "query" => cmd_query(rest),
             "bench" => cmd_bench(rest),
             "serve" => cmd_serve(rest),
-            "route" => cmd_route(rest),
             "ctl" => cmd_ctl(rest),
             other => Err(CliError::usage(format!("unknown subcommand {other:?}"))),
         },
@@ -274,15 +261,29 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--key value` pairs and bare flags into a map. Malformed
-/// invocations are usage errors.
-fn parse_opts(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), CliError> {
+/// The cache-construction options shared by `gc query` and `gc serve`
+/// (`--policy` is the historical alias of `--eviction`).
+const CACHE_OPTS: &str = "method eviction policy admission capacity window threads shards \
+     verify-budget verify-threads fragments fragment-budget fragment-eviction supergraph \
+     background restore persist-format";
+
+/// Parses `--key value` pairs and bare flags into a map. `known` holds
+/// whitespace-separated option names; any other option — like any other
+/// malformed invocation — is a usage error.
+fn parse_opts(
+    args: &[String],
+    known: &[&str],
+) -> Result<(HashMap<String, String>, Vec<String>), CliError> {
+    let known: Vec<&str> = known.iter().flat_map(|g| g.split_whitespace()).collect();
     let mut opts = HashMap::new();
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(key) = a.strip_prefix("--") {
+            if !known.contains(&key) {
+                return Err(CliError::usage(format!("unknown option --{key}")));
+            }
             // Bare flags take no value.
             const FLAGS: [&str; 7] = [
                 "supergraph",
@@ -373,7 +374,7 @@ fn fragments_enabled(opts: &HashMap<String, String>) -> Result<bool, CliError> {
 }
 
 fn cmd_generate(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts(args, &["profile scale seed out"])?;
     let name = req(&opts, "profile")?;
     let profile = DatasetProfile::by_name(name).ok_or_else(|| {
         CliError::usage(format!(
@@ -391,7 +392,7 @@ fn cmd_generate(args: &[String]) -> CliResult {
 }
 
 fn cmd_stats(args: &[String]) -> CliResult {
-    let (_, positional) = parse_opts(args)?;
+    let (_, positional) = parse_opts(args, &[])?;
     let path = positional
         .first()
         .ok_or_else(|| CliError::usage("usage: gc stats FILE"))?;
@@ -407,7 +408,7 @@ fn load_dataset(path: &str) -> Result<GraphDataset, CliError> {
 }
 
 fn cmd_workload(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts(args, &["dataset kind count seed out"])?;
     let dataset = load_dataset(req(&opts, "dataset")?)?;
     let count: usize = num(&opts, "count", 500)?;
     let seed: u64 = num(&opts, "seed", 42)?;
@@ -575,7 +576,13 @@ fn retry_policy(opts: &HashMap<String, String>) -> Result<RetryPolicy, CliError>
 }
 
 fn cmd_query(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts(
+        args,
+        &[
+            CACHE_OPTS,
+            "dataset queries no-cache maint-stats save connect retries retry-seed timeout-ms",
+        ],
+    )?;
     if let Some(target) = opts.get("connect") {
         return query_connect(&opts, target);
     }
@@ -866,7 +873,14 @@ fn query_connect(opts: &HashMap<String, String>, target: &str) -> CliResult {
 /// `gc serve`: the long-running daemon. Blocks until graceful drain
 /// (SIGTERM, SIGINT, or a `SHUTDOWN` frame) completes, then exits 0.
 fn cmd_serve(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts(
+        args,
+        &[
+            CACHE_OPTS,
+            "dataset listen unix max-sessions max-inflight drain-timeout persist-on-exit \
+             snapshot-every",
+        ],
+    )?;
     // Validate policy specs before the dataset loads, as `gc query` does.
     let eviction = opts
         .get("eviction")
@@ -888,28 +902,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "gc serve needs a listener: --listen ADDR and/or --unix PATH",
         ));
     }
-    // `--peer-id I/N`: serve as routed peer I of an N-peer fleet. The
-    // daemon then filters PROBE replies to its consistent-hash slice and
-    // gates QUERY/PROBE/ROUTE behind a proto-4 VERSION announcement.
-    let peer = match opts.get("peer-id") {
-        None => None,
-        Some(spec) => {
-            let parsed = spec.split_once('/').and_then(|(index, total)| {
-                let index: u64 = index.parse().ok()?;
-                let total: u64 = total.parse().ok()?;
-                PeerIdentity::new(index, total)
-            });
-            Some(parsed.ok_or_else(|| {
-                CliError::usage(format!(
-                    "invalid --peer-id {spec:?} (want I/N with 0 <= I < N, e.g. 0/3)"
-                ))
-            })?)
-        }
-    };
     let cfg = ServeConfig {
         listen,
         unix,
-        peer,
         max_sessions: num(&opts, "max-sessions", 64usize)?,
         max_inflight: num(&opts, "max-inflight", 0usize)?,
         drain_timeout: Duration::from_secs(num(&opts, "drain-timeout", 10u64)?),
@@ -930,7 +925,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let dataset = load_dataset(req(&opts, "dataset")?)?;
     let graphs = dataset.len();
     let cache = cache_from_opts(&opts, &dataset)?;
-    let peer = cfg.peer;
     let server =
         Server::bind(cache, cfg).map_err(|e| CliError::Runtime(format!("cannot serve: {e}")))?;
     if let Some(addr) = server.tcp_addr() {
@@ -938,9 +932,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
     if let Some(path) = opts.get("unix") {
         println!("serving on unix {path}");
-    }
-    if let Some(p) = peer {
-        println!("gc serve: routed peer {}/{}", p.index, p.total);
     }
     println!(
         "gc serve: {graphs} dataset graphs, eviction {eviction} | \
@@ -953,56 +944,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `gc route`: the fingerprint-routing front-end for a fleet of routed
-/// `gc serve --peer-id` daemons. Clients speak plain `QUERY` to the
-/// router's socket; the router computes each query's iso-fingerprint,
-/// sends it to the owning peer, and keeps every replica in lockstep.
-fn cmd_route(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
-    let unix = PathBuf::from(req(&opts, "unix")?);
-    let peers: Vec<PathBuf> = req(&opts, "peers")?
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
-        .collect();
-    if peers.is_empty() {
-        return Err(CliError::usage(
-            "gc route needs --peers SOCK,SOCK,... (one socket per peer, in peer-id order)",
-        ));
-    }
-    let retry = match opts.get("retries") {
-        // The router's default retry budget differs from gc ctl's: it
-        // should ride out peer startup races and transient BUSY, so a
-        // bounded-but-generous budget is the default.
-        None => RetryPolicy::with_attempts(10),
-        Some(_) => retry_policy(&opts)?,
-    };
-    let router = Router::bind(RouterConfig {
-        unix: unix.clone(),
-        peers: peers.clone(),
-        retry,
-        handle_signals: true,
-    })
-    .map_err(|e| match e.kind() {
-        std::io::ErrorKind::InvalidInput => CliError::usage(format!("cannot route: {e}")),
-        _ => CliError::Runtime(format!("cannot route: {e}")),
-    })?;
-    println!("routing on unix {}", unix.display());
-    println!(
-        "gc route: {} peer slice(s) | SIGTERM or a SHUTDOWN frame stops the router \
-         (peers keep serving)",
-        peers.len()
-    );
-    router
-        .run()
-        .map_err(|e| CliError::Runtime(format!("router failed: {e}")))?;
-    println!("gc route: drained, exiting");
-    Ok(())
-}
-
 /// `gc ctl`: one control frame against a running daemon.
 fn cmd_ctl(args: &[String]) -> CliResult {
-    let (opts, positional) = parse_opts(args)?;
+    let (opts, positional) = parse_opts(args, &["unix tcp timeout retries retry-seed"])?;
     let command = positional
         .first()
         .map(|s| s.as_str())
@@ -1066,7 +1010,7 @@ fn cmd_ctl(args: &[String]) -> CliResult {
 }
 
 fn cmd_bench(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts(args, &["suite json check tolerance timings list serve"])?;
     let suite_name = opts.get("suite").map(|s| s.as_str()).unwrap_or("smoke");
     let suite = Suite::from_name(suite_name).ok_or_else(|| {
         let available: Vec<&str> = Suite::ALL.iter().map(|s| s.name()).collect();
@@ -1102,30 +1046,11 @@ fn cmd_bench(args: &[String]) -> CliResult {
     }
 
     let served = opts.contains_key("serve");
-    let routed: Option<usize> = match opts.get("route") {
-        None => None,
-        Some(_) => {
-            let peers: usize = num(&opts, "route", 0usize)?;
-            if peers == 0 {
-                return Err(CliError::usage("--route needs at least 1 peer"));
-            }
-            Some(peers)
-        }
-    };
-    if served && routed.is_some() {
-        return Err(CliError::usage(
-            "--serve and --route are mutually exclusive",
-        ));
-    }
     println!(
         "running suite {} ({} scenarios{})...",
         suite.name(),
         suite.scenarios().len(),
-        match routed {
-            Some(peers) => format!(", via {peers}-peer routed fleet"),
-            None if served => ", via gc serve daemon".to_string(),
-            None => String::new(),
-        }
+        if served { ", via gc serve daemon" } else { "" }
     );
     println!(
         "{:<30} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9}",
@@ -1143,14 +1068,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
             s.wall_ms,
         );
     };
-    let report = if let Some(peers) = routed {
-        // The routed path replays every scenario through a fleet of
-        // routed peers behind a gc route front-end; the tentpole's
-        // determinism gate is that counters match the in-process path —
-        // and therefore any other fleet size — byte-for-byte, so the
-        // same committed baseline gates 1-peer and N-peer runs.
-        graphcache::server::bench::run_suite_routed_with(suite, peers, progress)
-    } else if served {
+    let report = if served {
         // The served path replays every scenario through the daemon on a
         // private unix socket; counters must match the in-process path
         // byte-for-byte, so --check gates both against one baseline.

@@ -401,6 +401,40 @@ fn exit_codes_are_distinct() {
         ],
         2,
     );
+    // Unknown options are usage errors, named on stderr.
+    assert_exit(
+        &[
+            "generate",
+            "--profile",
+            "aids",
+            "--out",
+            &tmp.path("bogus.txt"),
+            "--bogus",
+            "3",
+        ],
+        2,
+    );
+    let out = assert_exit(
+        &[
+            "query",
+            "--dataset",
+            &dataset,
+            "--queries",
+            &queries,
+            "--verfy-budget",
+            "5",
+        ],
+        2,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option --verfy-budget"),
+        "the typo is named: {stderr}"
+    );
+    // The routed fleet is gone: its subcommand and bench flag are rejected
+    // instead of silently running something else.
+    assert_exit(&["route", "--unix", "x.sock", "--peers", "a.sock"], 2);
+    assert_exit(&["bench", "--route", "1"], 2);
     assert_exit(&["bench", "--suite", "nope"], 2);
     assert_exit(&["bench", "--tolerance", "-1"], 2);
     // NaN/inf tolerances would disable the gate silently.
@@ -523,6 +557,20 @@ fn serve_and_ctl_exit_codes() {
             &sock,
             "--fragment-eviction",
             "nope",
+        ],
+        2,
+    );
+    // --peer-id went with the routed fleet; it is rejected before the
+    // (missing) dataset is even opened.
+    assert_exit(
+        &[
+            "serve",
+            "--dataset",
+            &tmp.path("missing.txt"),
+            "--unix",
+            &sock,
+            "--peer-id",
+            "0/3",
         ],
         2,
     );

@@ -484,7 +484,9 @@ fn session_limit_is_enforced() {
 
 /// Raw-socket protocol abuse: garbage frames get a typed `ERR` and the
 /// session stays usable; an oversized frame gets `ERR code=too-large`
-/// and the connection closes (framing cannot re-synchronise).
+/// and the connection closes (framing cannot re-synchronise). The raw
+/// session never sends `VERSION`, so it also pins that a standalone
+/// daemon answers `QUERY` without an announcement.
 #[test]
 fn malformed_and_oversized_frames_are_typed_errors() {
     let data = dataset();
@@ -503,10 +505,10 @@ fn malformed_and_oversized_frames_are_typed_errors() {
         line.trim_end().to_string()
     };
 
-    assert!(
-        read_line(&mut reader, &mut line).starts_with("HELLO "),
-        "greeting first"
-    );
+    let hello = read_line(&mut reader, &mut line);
+    assert!(hello.starts_with("HELLO "), "greeting first: {hello:?}");
+    assert!(hello.contains(" proto=5 "), "proto 5 greeting: {hello:?}");
+    assert!(!hello.contains("peer="), "no fleet identity: {hello:?}");
     // Unknown keyword → typed ERR, session survives.
     writer.write_all(b"FROBNICATE now\n").expect("write");
     assert!(read_line(&mut reader, &mut line).starts_with("ERR code=bad-frame"));
@@ -515,9 +517,20 @@ fn malformed_and_oversized_frames_are_typed_errors() {
         .write_all(b"QUERY id=1 graph=2:9:0-5\n")
         .expect("write");
     assert!(read_line(&mut reader, &mut line).starts_with("ERR code=bad-frame"));
-    // The session still answers after both.
+    // The fleet frames removed in proto 5 are unknown keywords now.
+    for frame in ["PROBE id=1 graph=1:1:\n", "ROUTE id=1 graph=1:1:\n"] {
+        writer.write_all(frame.as_bytes()).expect("write");
+        assert!(read_line(&mut reader, &mut line).starts_with("ERR code=bad-frame"));
+    }
+    // The session still answers after all of them, queries included.
     writer.write_all(b"PING token=alive\n").expect("write");
     assert_eq!(read_line(&mut reader, &mut line), "PONG token=alive");
+    writer.write_all(b"QUERY id=2 graph=1:1:\n").expect("write");
+    let result = read_line(&mut reader, &mut line);
+    assert!(result.starts_with("RESULT id=2 "), "{result:?}");
+    // A later announcement is still answered with the negotiated level.
+    writer.write_all(b"VERSION proto=9\n").expect("write");
+    assert_eq!(read_line(&mut reader, &mut line), "VERSION proto=5");
 
     // Oversized frame: ERR too-large, then the server hangs up. The
     // server may notice the overrun and close while we are still
