@@ -179,12 +179,15 @@ fn enforce_budget(state: &FragmentState, now: QuerySerial) -> u64 {
             .eviction
             .lock()
             .select_victims(&PolicyView::new(&rows, now), need);
-        if victims.is_empty() || store.evict_ids(&victims) == 0 {
+        // Count what the store actually removed: a custom policy may return
+        // duplicate or stale ids, which evict nothing.
+        let removed = store.evict_ids(&victims);
+        if removed == 0 {
             // A policy returning nothing usable would loop forever; stop
             // and carry the excess to the next round.
             return evicted;
         }
-        evicted += victims.len() as u64;
+        evicted += removed;
     }
 }
 
@@ -253,6 +256,34 @@ mod tests {
         let (built, evicted) = upkeep(&s, &sources, 2);
         assert!(built > 0);
         assert_eq!(evicted, built, "budget of 1 byte evicts everything");
+        assert_eq!(s.memory_bytes(), 0);
+    }
+
+    /// Returns the lowest-id row twice, plus an id no row has.
+    #[derive(Debug)]
+    struct DuplicatingPolicy;
+
+    impl EvictionPolicy for DuplicatingPolicy {
+        fn name(&self) -> &str {
+            "duplicating"
+        }
+
+        fn select_victims(&mut self, view: &PolicyView<'_>, _evict: usize) -> Vec<QuerySerial> {
+            let first = view.rows().iter().map(|r| r.serial).min().unwrap_or(0);
+            vec![first, first, u64::MAX]
+        }
+    }
+
+    #[test]
+    fn eviction_counts_only_removed_fragments() {
+        let mut s = state();
+        s.eviction = Mutex::new(Box::new(DuplicatingPolicy));
+        s.cfg.budget_bytes = 1; // everything is over budget
+        let sources = vec![(Arc::new(chain(&[1, 2, 3, 4])), vec![GraphId(0)])];
+        let (built, evicted) = upkeep(&s, &sources, 2);
+        assert!(built > 1);
+        // One fragment leaves per policy call, however many ids it names.
+        assert_eq!(evicted, built);
         assert_eq!(s.memory_bytes(), 0);
     }
 

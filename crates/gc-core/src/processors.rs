@@ -39,12 +39,12 @@
 
 use crate::entry::CacheSnapshot;
 use crate::stats::QuerySerial;
-use gc_graph::LabeledGraph;
+use gc_graph::{GraphProfile, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
 use gc_index::fx::FxHashSet;
 use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
-use gc_subiso::{cost, MatchConfig, MatchOutcome, Matcher};
+use gc_subiso::{cost, MatchConfig, MatchOutcome, Matcher, Prepared};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Verified cache hits for one new query.
@@ -214,13 +214,15 @@ struct Cand<'a> {
     cost: f64,
 }
 
-/// Runs one matcher test clipped to the remaining budget pool. Returns the
-/// outcome plus whether the *pool* (not the per-test config) was the
+/// Runs one matcher test between the prepared query and a cached entry's
+/// graph in direction `dir`, clipped to the remaining budget pool. Returns
+/// the outcome plus whether the *pool* (not the per-test config) was the
 /// binding limit — only then does an incomplete search mean truncation.
 fn run_capped(
     matcher: &dyn Matcher,
-    pattern: &LabeledGraph,
-    target: &LabeledGraph,
+    query: Prepared<'_>,
+    entry: &LabeledGraph,
+    dir: Dir,
     cfg: &MatchConfig,
     remaining: Option<u64>,
 ) -> (MatchOutcome, bool) {
@@ -236,8 +238,16 @@ fn run_capped(
             }
         }
     };
+    // The entry's profile is built per test, never stored with the entry,
+    // so cached bytes do not change.
+    let profile = GraphProfile::of(entry);
+    let entry = Prepared::new(entry, profile.view());
+    let (pattern, target) = match dir {
+        Dir::Sub | Dir::Iso => (query, entry),
+        Dir::Super => (entry, query),
+    };
     (
-        matcher.contains_with(pattern, target, &MatchConfig { budget }),
+        matcher.contains_prepared(pattern, target, &MatchConfig { budget }),
         pool_clipped,
     )
 }
@@ -255,6 +265,9 @@ pub fn find_hits_opts(
     let qn = hq.query.node_count();
     let qm = hq.query.edge_count();
     let mut pool: Option<u64> = opts.budget;
+    // The query's quick-reject profile, built once for every test below.
+    let q_profile = GraphProfile::of(hq.query);
+    let query = Prepared::new(hq.query, q_profile.view());
 
     // (1) Exact fast path: probe each shard's fingerprint map, confirm
     // candidates in ascending serial order until the first isomorphism.
@@ -289,7 +302,7 @@ pub fn find_hits_opts(
         }
         // Equal node and edge counts make containment isomorphism (§5.1),
         // so one directed test confirms the exact hit.
-        let (out, pool_clipped) = run_capped(matcher, hq.query, &entry.graph, cfg, pool);
+        let (out, pool_clipped) = run_capped(matcher, query, &entry.graph, Dir::Sub, cfg, pool);
         hits.work += out.nodes_expanded;
         if let Some(p) = &mut pool {
             *p = p.saturating_sub(out.nodes_expanded);
@@ -322,10 +335,9 @@ pub fn find_hits_opts(
     // survives every prefilter touches its entry — and then only to park
     // the graph handle in the verification queue.
     let mut queue: Vec<Cand<'_>> = Vec::new();
-    // The query is the *target* of every Super-direction estimate, so its
-    // distinct-label count is computed once here instead of per candidate
-    // (`distinct_label_count` sorts the label vector on every call).
-    let q_distinct = hq.query.distinct_label_count() as u64;
+    // The query is the *target* of every Super-direction estimate; its
+    // distinct-label count is its profile's histogram length.
+    let q_distinct = q_profile.view().labels.len() as u64;
     // Candidate restriction: serials outside the allow set
     // never enter the queue. A sorted list + binary search keeps the gather
     // a pure column scan.
@@ -415,9 +427,9 @@ pub fn find_hits_opts(
 
     // (4) Verify under the shared pool, early-exiting on the hit budget.
     if opts.threads > 1 && queue.len() >= opts.parallel_threshold.max(2) {
-        verify_parallel(&queue, hq, matcher, cfg, pool, opts, &mut hits);
+        verify_parallel(&queue, query, matcher, cfg, pool, opts, &mut hits);
     } else {
-        verify_sequential(&queue, hq, matcher, cfg, pool, opts, &mut hits);
+        verify_sequential(&queue, query, matcher, cfg, pool, opts, &mut hits);
     }
     finalize(hits)
 }
@@ -493,7 +505,7 @@ fn deadline_expired(opts: &VerifyOptions) -> bool {
 
 fn verify_sequential(
     queue: &[Cand<'_>],
-    hq: &HitQuery<'_>,
+    query: Prepared<'_>,
     matcher: &dyn Matcher,
     cfg: &MatchConfig,
     mut pool: Option<u64>,
@@ -513,11 +525,8 @@ fn verify_sequential(
             hits.deadline_exceeded = true;
             break;
         }
-        let (pattern, target) = match cand.dir {
-            Dir::Sub | Dir::Iso => (hq.query, cand.entry.graph.as_ref()),
-            Dir::Super => (cand.entry.graph.as_ref(), hq.query),
-        };
-        let (out, pool_clipped) = run_capped(matcher, pattern, target, cfg, pool);
+        let (out, pool_clipped) =
+            run_capped(matcher, query, &cand.entry.graph, cand.dir, cfg, pool);
         hits.tests += 1;
         hits.work += out.nodes_expanded;
         if let Some(p) = &mut pool {
@@ -541,7 +550,7 @@ fn verify_sequential(
 /// the result is still a sound, truncation-flagged subset.
 fn verify_parallel(
     queue: &[Cand<'_>],
-    hq: &HitQuery<'_>,
+    query: Prepared<'_>,
     matcher: &dyn Matcher,
     cfg: &MatchConfig,
     pool: Option<u64>,
@@ -593,12 +602,8 @@ fn verify_parallel(
                             break;
                         }
                         let cand = &queue[i];
-                        let (pattern, target) = match cand.dir {
-                            Dir::Sub | Dir::Iso => (hq.query, cand.entry.graph.as_ref()),
-                            Dir::Super => (cand.entry.graph.as_ref(), hq.query),
-                        };
                         let (out, pool_clipped) =
-                            run_capped(matcher, pattern, target, cfg, remaining);
+                            run_capped(matcher, query, &cand.entry.graph, cand.dir, cfg, remaining);
                         if bounded {
                             // Saturating concurrent deduction; slight
                             // overdraw on a race is acceptable (the pool is

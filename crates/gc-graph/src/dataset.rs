@@ -1,6 +1,7 @@
 //! Graph datasets: ordered collections of graphs with summary statistics.
 
 use crate::graph::{Label, LabeledGraph};
+use crate::profile::{ProfileColumn, ProfileRef};
 use std::fmt;
 
 /// Identifier of a graph within a [`GraphDataset`] (its position).
@@ -28,24 +29,19 @@ impl fmt::Display for GraphId {
 #[derive(Debug, Clone, Default)]
 pub struct GraphDataset {
     graphs: Vec<LabeledGraph>,
-    /// Per-graph distinct-label counts, aligned with `graphs`. Built once
-    /// here because the §5.2 cost estimate needs `L` for every graph of
-    /// every cache hit, and counting sorts the graph's label vector.
-    distinct_labels: Vec<u32>,
+    /// Per-graph quick-reject profiles, aligned with `graphs`. Built once
+    /// here because every sub-iso test against a dataset graph checks them,
+    /// and the §5.2 cost estimate needs each graph's distinct-label count
+    /// (its label-histogram length); both would otherwise recount the graph.
+    profiles: ProfileColumn,
 }
 
 impl GraphDataset {
     /// Creates a dataset from a vector of graphs.
     pub fn new(graphs: Vec<LabeledGraph>) -> Self {
-        let mut buf = Vec::new();
-        let distinct_labels = graphs
-            .iter()
-            .map(|g| g.distinct_label_count_in(&mut buf) as u32)
-            .collect();
-        GraphDataset {
-            graphs,
-            distinct_labels,
-        }
+        let mut profiles = ProfileColumn::default();
+        profiles.extend(&graphs);
+        GraphDataset { graphs, profiles }
     }
 
     /// Number of graphs in the dataset.
@@ -66,12 +62,19 @@ impl GraphDataset {
         &self.graphs[id.index()]
     }
 
-    /// Number of distinct labels in the graph with the given id, read from
-    /// the column built with the dataset (equal to
+    /// The quick-reject profile of the graph with the given id, read from
+    /// the column built with the dataset.
+    #[inline]
+    pub fn profile(&self, id: GraphId) -> ProfileRef<'_> {
+        self.profiles.get(id.index())
+    }
+
+    /// Number of distinct labels in the graph with the given id: the length
+    /// of its profile's label histogram (equal to
     /// [`LabeledGraph::distinct_label_count`], without the sort).
     #[inline]
     pub fn distinct_label_count(&self, id: GraphId) -> u32 {
-        self.distinct_labels[id.index()]
+        self.profile(id).labels.len() as u32
     }
 
     /// All graphs in id order.
@@ -96,7 +99,7 @@ impl GraphDataset {
     /// Appends a graph, returning its id.
     pub fn push(&mut self, g: LabeledGraph) -> GraphId {
         let id = GraphId(self.graphs.len() as u32);
-        self.distinct_labels.push(g.distinct_label_count() as u32);
+        self.profiles.push(&g);
         self.graphs.push(g);
         id
     }
@@ -205,6 +208,7 @@ impl fmt::Display for DatasetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphProfile;
 
     fn small_dataset() -> GraphDataset {
         GraphDataset::new(vec![
@@ -225,15 +229,28 @@ mod tests {
 
     #[test]
     fn label_column_matches_graphs() {
+        let graphs = vec![
+            LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]),
+            LabeledGraph::empty(),
+            LabeledGraph::from_parts(vec![1, 2, 3], &[(0, 1), (1, 2), (2, 0)]),
+        ];
+        let mut pushed = small_dataset();
+        pushed.push(LabeledGraph::from_parts(vec![4, 4, 4], &[(0, 1), (1, 2)]));
+        pushed.push(LabeledGraph::empty());
+        pushed.push(LabeledGraph::from_parts(vec![5, 6, 5], &[(0, 1)]));
+        for d in [GraphDataset::from(graphs), pushed] {
+            for (id, g) in d.iter() {
+                assert_eq!(
+                    d.distinct_label_count(id) as usize,
+                    g.distinct_label_count()
+                );
+                assert_eq!(d.profile(id), GraphProfile::of(g).view(), "{id}");
+            }
+        }
         let mut d = small_dataset();
         d.push(LabeledGraph::from_parts(vec![4, 4, 4], &[(0, 1), (1, 2)]));
-        for (id, g) in d.iter() {
-            assert_eq!(
-                d.distinct_label_count(id) as usize,
-                g.distinct_label_count()
-            );
-        }
         assert_eq!(d.distinct_label_count(GraphId(2)), 1);
+        assert_eq!(d.profile(GraphId(2)).degree_at_least, &[3, 1]);
     }
 
     #[test]

@@ -114,17 +114,10 @@ impl LabeledGraph {
 
     /// Number of distinct labels appearing in the graph.
     pub fn distinct_label_count(&self) -> usize {
-        self.distinct_label_count_in(&mut Vec::new())
-    }
-
-    /// [`distinct_label_count`](Self::distinct_label_count) sorting in a
-    /// caller-owned buffer, so a loop over many graphs allocates once.
-    pub fn distinct_label_count_in(&self, buf: &mut Vec<Label>) -> usize {
-        buf.clear();
-        buf.extend_from_slice(&self.labels);
-        buf.sort_unstable();
-        buf.dedup();
-        buf.len()
+        let mut ls = self.labels.clone();
+        ls.sort_unstable();
+        ls.dedup();
+        ls.len()
     }
 
     /// Maximum degree over all nodes (0 for the empty graph).

@@ -6,7 +6,8 @@
 //!   graph, the unit of both datasets and queries (paper §3);
 //! * [`GraphBuilder`] — an incremental builder that normalises edges
 //!   (deduplication, sorted adjacency) before freezing;
-//! * [`GraphDataset`] — a collection of graphs with summary statistics;
+//! * [`GraphDataset`] — a collection of graphs with summary statistics and
+//!   a column of per-graph quick-reject profiles ([`ProfileRef`]);
 //! * [`io`] — a line-oriented text format compatible in spirit with the
 //!   format used by GraphGrepSX/Grapes distributions;
 //! * [`zipf`] — Zipf and uniform samplers used by the workload generators
@@ -27,6 +28,7 @@ mod error;
 mod graph;
 pub mod idset;
 pub mod io;
+mod profile;
 pub mod random;
 pub mod sizing;
 pub mod zipf;
@@ -35,3 +37,4 @@ pub use builder::GraphBuilder;
 pub use dataset::{DatasetStats, GraphDataset, GraphId};
 pub use error::GraphError;
 pub use graph::{EdgeIter, Label, LabeledGraph, NodeId};
+pub use profile::{GraphProfile, ProfileRef};

@@ -1,9 +1,9 @@
 //! The [`Method`] runtime: filtering, (optionally parallel) verification,
 //! and per-query metrics.
 
-use gc_graph::{idset, GraphDataset, GraphId, LabeledGraph};
+use gc_graph::{idset, GraphDataset, GraphId, GraphProfile, LabeledGraph};
 use gc_index::{CandidateSet, FilterIndex};
-use gc_subiso::{MatchConfig, MatchStats, Matcher};
+use gc_subiso::{MatchConfig, MatchStats, Matcher, Prepared};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -148,7 +148,9 @@ impl Method {
     }
 
     /// Direction-aware verification: tests `query ⊆ G` for subgraph
-    /// queries, `G ⊆ query` for supergraph queries.
+    /// queries, `G ⊆ query` for supergraph queries. Every test is prepared:
+    /// the query is profiled once here, dataset profiles come from the
+    /// dataset's column.
     pub fn verify_directed(
         &self,
         query: &LabeledGraph,
@@ -156,6 +158,8 @@ impl Method {
         kind: QueryKind,
     ) -> VerifyOutput {
         let t0 = Instant::now();
+        let profile = GraphProfile::of(query);
+        let query = Prepared::new(query, profile.view());
         let outcomes = if self.threads <= 1 || candidates.len() <= 1 {
             self.verify_serial(query, candidates, kind)
         } else {
@@ -179,23 +183,21 @@ impl Method {
         }
     }
 
-    fn test_one(&self, query: &LabeledGraph, id: GraphId, kind: QueryKind) -> (bool, u64) {
-        let out = match kind {
-            QueryKind::Subgraph => {
-                self.matcher
-                    .contains_with(query, self.dataset.graph(id), &self.match_config)
-            }
-            QueryKind::Supergraph => {
-                self.matcher
-                    .contains_with(self.dataset.graph(id), query, &self.match_config)
-            }
+    fn test_one(&self, query: Prepared<'_>, id: GraphId, kind: QueryKind) -> (bool, u64) {
+        let graph = Prepared::new(self.dataset.graph(id), self.dataset.profile(id));
+        let (pattern, target) = match kind {
+            QueryKind::Subgraph => (query, graph),
+            QueryKind::Supergraph => (graph, query),
         };
+        let out = self
+            .matcher
+            .contains_prepared(pattern, target, &self.match_config);
         (out.found, out.nodes_expanded)
     }
 
     fn verify_serial(
         &self,
-        query: &LabeledGraph,
+        query: Prepared<'_>,
         candidates: &[GraphId],
         kind: QueryKind,
     ) -> Vec<(GraphId, bool, u64)> {
@@ -210,7 +212,7 @@ impl Method {
 
     fn verify_parallel(
         &self,
-        query: &LabeledGraph,
+        query: Prepared<'_>,
         candidates: &[GraphId],
         kind: QueryKind,
     ) -> Vec<(GraphId, bool, u64)> {

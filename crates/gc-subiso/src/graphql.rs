@@ -11,9 +11,11 @@
 //! 3. a search order that greedily minimises candidate-list size, and
 //!    backtracking search constrained to the refined lists.
 
-use crate::common::{neighbor_labels_sorted, quick_reject, sorted_multiset_contained, Found, Work};
-use crate::vf2::Driver;
-use crate::{MatchConfig, MatchOutcome, Matcher};
+use crate::common::{
+    neighbor_labels_sorted, run_prepared, run_unprepared, sorted_multiset_contained, Driver, Found,
+    Work,
+};
+use crate::{MatchConfig, MatchOutcome, Matcher, Prepared};
 use gc_graph::{LabeledGraph, NodeId};
 use std::ops::ControlFlow;
 
@@ -52,65 +54,55 @@ impl Matcher for GraphQl {
         "GQL"
     }
 
-    fn contains_with(
+    fn contains_prepared(
         &self,
-        pattern: &LabeledGraph,
-        target: &LabeledGraph,
+        pattern: Prepared<'_>,
+        target: Prepared<'_>,
         cfg: &MatchConfig,
     ) -> MatchOutcome {
         let mut driver = Driver::decide();
-        run(self, pattern, target, cfg, &mut driver)
+        run_prepared(pattern, target, cfg, &mut driver, |p, t, w, d| {
+            run(self, p, t, w, d)
+        })
     }
 
     fn find_embedding(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<NodeId>> {
         let mut driver = Driver::find();
-        run(self, pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run_unprepared(pattern, target, &mut driver, |p, t, w, d| {
+            run(self, p, t, w, d)
+        });
         driver.embedding
     }
 
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64 {
         let mut driver = Driver::count(limit);
-        run(self, pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run_unprepared(pattern, target, &mut driver, |p, t, w, d| {
+            run(self, p, t, w, d)
+        });
         driver.count
     }
 }
 
+/// GraphQL candidate refinement and search, for a pair that passed quick
+/// reject.
 fn run(
     gql: &GraphQl,
     pattern: &LabeledGraph,
     target: &LabeledGraph,
-    cfg: &MatchConfig,
+    work: &mut Work,
     driver: &mut Driver,
-) -> MatchOutcome {
-    if pattern.node_count() == 0 {
-        driver.on_embedding(&[]);
-        return MatchOutcome {
-            found: true,
-            complete: true,
-            nodes_expanded: 0,
+) {
+    if let ControlFlow::Continue(Some(cands)) = build_candidates(gql, pattern, target, work) {
+        let order = search_order(pattern, &cands);
+        let mut st = State {
+            p: pattern,
+            t: target,
+            cands: &cands,
+            order: &order,
+            core_p: vec![None; pattern.node_count()],
+            used_t: vec![false; target.node_count()],
         };
-    }
-    let mut work = Work::new(cfg.budget);
-    if !quick_reject(pattern, target) {
-        if let ControlFlow::Continue(Some(cands)) =
-            build_candidates(gql, pattern, target, &mut work)
-        {
-            let order = search_order(pattern, &cands);
-            let mut st = State {
-                p: pattern,
-                t: target,
-                cands: &cands,
-                order: &order,
-                core_p: vec![None; pattern.node_count()],
-                used_t: vec![false; target.node_count()],
-            };
-            let _ = search(&mut st, 0, &mut work, driver);
-        }
-    }
-    MatchOutcome {
-        found: driver.found,
-        complete: !work.exhausted,
-        nodes_expanded: work.nodes,
+        let _ = search(&mut st, 0, work, driver);
     }
 }
 

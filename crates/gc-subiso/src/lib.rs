@@ -13,6 +13,20 @@
 //! ("nodes expanded"), giving a deterministic work measure used by the
 //! deterministic cost model, and accepts an optional budget so pathological
 //! instances cannot hang a benchmark run.
+//!
+//! # Prepared tests
+//!
+//! Every test starts with a *quick reject*: the pattern cannot embed when it
+//! has more nodes or edges than the target, more copies of some label, or
+//! more nodes of degree `≥ k` for some `k`. Those invariants are a graph's
+//! [`ProfileRef`], and the check ([`quick_reject`]) is a merge walk over two
+//! of them. A caller that tests one graph against many holds each profile
+//! once and calls [`Matcher::contains_prepared`] with [`Prepared`] graphs:
+//! Method M reads dataset profiles from the
+//! [`GraphDataset`](gc_graph::GraphDataset) column and profiles the query
+//! once per query. [`Matcher::contains_with`] profiles both graphs itself
+//! and delegates, so the two entry points return identical outcomes, step
+//! counts included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,12 +38,13 @@ mod ullmann;
 mod vf2;
 mod vf2_plus;
 
+pub use common::quick_reject;
 pub use graphql::GraphQl;
 pub use ullmann::Ullmann;
 pub use vf2::Vf2;
 pub use vf2_plus::Vf2Plus;
 
-use gc_graph::{LabeledGraph, NodeId};
+use gc_graph::{GraphProfile, LabeledGraph, NodeId, ProfileRef};
 
 /// Search limits for a single sub-iso test.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,21 +111,62 @@ impl MatchStats {
     }
 }
 
+/// A graph paired with its quick-reject profile: one side of a prepared
+/// sub-iso test ([`Matcher::contains_prepared`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Prepared<'a> {
+    /// The graph.
+    pub graph: &'a LabeledGraph,
+    /// Its profile — from [`GraphProfile::view`] or
+    /// [`GraphDataset::profile`](gc_graph::GraphDataset::profile).
+    pub profile: ProfileRef<'a>,
+}
+
+impl<'a> Prepared<'a> {
+    /// Pairs `graph` with its profile.
+    #[inline]
+    pub fn new(graph: &'a LabeledGraph, profile: ProfileRef<'a>) -> Self {
+        debug_assert_eq!(profile.nodes as usize, graph.node_count());
+        debug_assert_eq!(profile.edges as usize, graph.edge_count());
+        Prepared { graph, profile }
+    }
+}
+
 /// A subgraph-isomorphism algorithm.
 ///
 /// Implementations must be deterministic: the same `(pattern, target)` pair
-/// always produces the same outcome and the same `nodes_expanded` count.
+/// always produces the same outcome and the same `nodes_expanded` count,
+/// through either decision entry point.
 pub trait Matcher: Send + Sync {
     /// Short algorithm name as used in the paper ("VF2", "VF2+", "GQL", …).
     fn name(&self) -> &'static str;
 
-    /// Decision test with explicit limits.
+    /// Decision test with explicit limits on graphs whose quick-reject
+    /// profiles the caller already holds. The empty pattern is contained
+    /// with no steps; a pair the profiles rule out is a complete miss with
+    /// no steps; anything else is searched.
+    fn contains_prepared(
+        &self,
+        pattern: Prepared<'_>,
+        target: Prepared<'_>,
+        cfg: &MatchConfig,
+    ) -> MatchOutcome;
+
+    /// Decision test with explicit limits: profiles both graphs and runs
+    /// [`contains_prepared`](Self::contains_prepared).
     fn contains_with(
         &self,
         pattern: &LabeledGraph,
         target: &LabeledGraph,
         cfg: &MatchConfig,
-    ) -> MatchOutcome;
+    ) -> MatchOutcome {
+        let (pp, tp) = (GraphProfile::of(pattern), GraphProfile::of(target));
+        self.contains_prepared(
+            Prepared::new(pattern, pp.view()),
+            Prepared::new(target, tp.view()),
+            cfg,
+        )
+    }
 
     /// Unbounded decision test: is `pattern ⊆ target`?
     fn contains(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> bool {

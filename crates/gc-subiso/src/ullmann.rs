@@ -11,9 +11,8 @@
 //! additionally serves as an algorithmically independent referee for the
 //! property tests (its search strategy shares no code with VF2/GraphQL).
 
-use crate::common::{quick_reject, Found, Work};
-use crate::vf2::Driver;
-use crate::{MatchConfig, MatchOutcome, Matcher};
+use crate::common::{run_prepared, run_unprepared, Driver, Found, Work};
+use crate::{MatchConfig, MatchOutcome, Matcher, Prepared};
 use gc_graph::{LabeledGraph, NodeId};
 use std::ops::ControlFlow;
 
@@ -33,69 +32,49 @@ impl Matcher for Ullmann {
         "Ullmann"
     }
 
-    fn contains_with(
+    fn contains_prepared(
         &self,
-        pattern: &LabeledGraph,
-        target: &LabeledGraph,
+        pattern: Prepared<'_>,
+        target: Prepared<'_>,
         cfg: &MatchConfig,
     ) -> MatchOutcome {
         let mut driver = Driver::decide();
-        run(pattern, target, cfg, &mut driver)
+        run_prepared(pattern, target, cfg, &mut driver, run)
     }
 
     fn find_embedding(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<NodeId>> {
         let mut driver = Driver::find();
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run_unprepared(pattern, target, &mut driver, run);
         driver.embedding
     }
 
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64 {
         let mut driver = Driver::count(limit);
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run_unprepared(pattern, target, &mut driver, run);
         driver.count
     }
 }
 
-fn run(
-    pattern: &LabeledGraph,
-    target: &LabeledGraph,
-    cfg: &MatchConfig,
-    driver: &mut Driver,
-) -> MatchOutcome {
-    if pattern.node_count() == 0 {
-        driver.on_embedding(&[]);
-        return MatchOutcome {
-            found: true,
-            complete: true,
-            nodes_expanded: 0,
-        };
-    }
-    let mut work = Work::new(cfg.budget);
-    if !quick_reject(pattern, target) {
-        let np = pattern.node_count();
-        let nt = target.node_count();
-        let mut m = vec![false; np * nt];
-        for u in pattern.nodes() {
-            for v in target.nodes() {
-                m[u as usize * nt + v as usize] =
-                    pattern.label(u) == target.label(v) && pattern.degree(u) <= target.degree(v);
-            }
-        }
-        let mut st = State {
-            p: pattern,
-            t: target,
-            nt,
-            core_p: vec![None; np],
-            used_t: vec![false; nt],
-        };
-        if refine(&st, &mut m, &mut work).is_continue() && !any_row_empty(&m, np, nt) {
-            let _ = search(&mut st, 0, m, &mut work, driver);
+/// Ullmann refinement and search, for a pair that passed quick reject.
+fn run(pattern: &LabeledGraph, target: &LabeledGraph, work: &mut Work, driver: &mut Driver) {
+    let np = pattern.node_count();
+    let nt = target.node_count();
+    let mut m = vec![false; np * nt];
+    for u in pattern.nodes() {
+        for v in target.nodes() {
+            m[u as usize * nt + v as usize] =
+                pattern.label(u) == target.label(v) && pattern.degree(u) <= target.degree(v);
         }
     }
-    MatchOutcome {
-        found: driver.found,
-        complete: !work.exhausted,
-        nodes_expanded: work.nodes,
+    let mut st = State {
+        p: pattern,
+        t: target,
+        nt,
+        core_p: vec![None; np],
+        used_t: vec![false; nt],
+    };
+    if refine(&st, &mut m, work).is_continue() && !any_row_empty(&m, np, nt) {
+        let _ = search(&mut st, 0, m, work, driver);
     }
 }
 

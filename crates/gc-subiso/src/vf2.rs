@@ -8,8 +8,8 @@
 //! feasibility rules — label equality, mapped-neighbour consistency, degree
 //! dominance and a one-step lookahead on unmapped neighbour counts.
 
-use crate::common::{quick_reject, Found, Work};
-use crate::{MatchConfig, MatchOutcome, Matcher};
+use crate::common::{run_prepared, run_unprepared, Driver, Found, Work};
+use crate::{MatchConfig, MatchOutcome, Matcher, Prepared};
 use gc_graph::{LabeledGraph, NodeId};
 use std::ops::ControlFlow;
 
@@ -29,124 +29,39 @@ impl Matcher for Vf2 {
         "VF2"
     }
 
-    fn contains_with(
+    fn contains_prepared(
         &self,
-        pattern: &LabeledGraph,
-        target: &LabeledGraph,
+        pattern: Prepared<'_>,
+        target: Prepared<'_>,
         cfg: &MatchConfig,
     ) -> MatchOutcome {
         let mut driver = Driver::decide();
-        run(pattern, target, cfg, &mut driver)
+        run_prepared(pattern, target, cfg, &mut driver, run)
     }
 
     fn find_embedding(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<NodeId>> {
         let mut driver = Driver::find();
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run_unprepared(pattern, target, &mut driver, run);
         driver.embedding
     }
 
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64 {
         let mut driver = Driver::count(limit);
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run_unprepared(pattern, target, &mut driver, run);
         driver.count
     }
 }
 
-/// Shared enumeration driver used by all three entry points (and reused by
-/// the other matchers in this crate).
-pub(crate) struct Driver {
-    mode: Mode,
-    pub(crate) found: bool,
-    pub(crate) count: u64,
-    pub(crate) embedding: Option<Vec<NodeId>>,
-}
-
-enum Mode {
-    Decide,
-    Find,
-    Count { limit: u64 },
-}
-
-impl Driver {
-    pub(crate) fn decide() -> Self {
-        Driver {
-            mode: Mode::Decide,
-            found: false,
-            count: 0,
-            embedding: None,
-        }
-    }
-
-    pub(crate) fn find() -> Self {
-        Driver {
-            mode: Mode::Find,
-            found: false,
-            count: 0,
-            embedding: None,
-        }
-    }
-
-    pub(crate) fn count(limit: u64) -> Self {
-        Driver {
-            mode: Mode::Count { limit },
-            found: false,
-            count: 0,
-            embedding: None,
-        }
-    }
-
-    /// Records a complete embedding; returns whether to keep searching.
-    pub(crate) fn on_embedding(&mut self, mapping: &[Option<NodeId>]) -> Found {
-        self.found = true;
-        self.count += 1;
-        match self.mode {
-            Mode::Decide => Found::Stop,
-            Mode::Find => {
-                self.embedding = Some(mapping.iter().map(|m| m.expect("complete")).collect());
-                Found::Stop
-            }
-            Mode::Count { limit } => {
-                if self.count >= limit {
-                    Found::Stop
-                } else {
-                    Found::Continue
-                }
-            }
-        }
-    }
-}
-
-fn run(
-    pattern: &LabeledGraph,
-    target: &LabeledGraph,
-    cfg: &MatchConfig,
-    driver: &mut Driver,
-) -> MatchOutcome {
-    if pattern.node_count() == 0 {
-        // The empty pattern embeds vacuously (one empty embedding).
-        driver.on_embedding(&[]);
-        return MatchOutcome {
-            found: true,
-            complete: true,
-            nodes_expanded: 0,
-        };
-    }
-    let mut work = Work::new(cfg.budget);
-    if !quick_reject(pattern, target) {
-        let mut st = State {
-            p: pattern,
-            t: target,
-            core_p: vec![None; pattern.node_count()],
-            used_t: vec![false; target.node_count()],
-            mapped: 0,
-        };
-        let _ = search(&mut st, &mut work, driver);
-    }
-    MatchOutcome {
-        found: driver.found,
-        complete: !work.exhausted,
-        nodes_expanded: work.nodes,
-    }
+/// The VF2 search proper, for a pair that passed quick reject.
+fn run(pattern: &LabeledGraph, target: &LabeledGraph, work: &mut Work, driver: &mut Driver) {
+    let mut st = State {
+        p: pattern,
+        t: target,
+        core_p: vec![None; pattern.node_count()],
+        used_t: vec![false; target.node_count()],
+        mapped: 0,
+    };
+    let _ = search(&mut st, work, driver);
 }
 
 struct State<'a> {

@@ -9,9 +9,8 @@
 //! typically several times faster than vanilla VF2 on labelled graphs, which
 //! is the behaviour the paper's figures rely on.
 
-use crate::common::{quick_reject, sorted_multiset_contained, Found, Work};
-use crate::vf2::Driver;
-use crate::{MatchConfig, MatchOutcome, Matcher};
+use crate::common::{run_prepared, run_unprepared, sorted_multiset_contained, Driver, Found, Work};
+use crate::{MatchConfig, MatchOutcome, Matcher, Prepared};
 use gc_graph::{Label, LabeledGraph, NodeId};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -32,60 +31,40 @@ impl Matcher for Vf2Plus {
         "VF2+"
     }
 
-    fn contains_with(
+    fn contains_prepared(
         &self,
-        pattern: &LabeledGraph,
-        target: &LabeledGraph,
+        pattern: Prepared<'_>,
+        target: Prepared<'_>,
         cfg: &MatchConfig,
     ) -> MatchOutcome {
         let mut driver = Driver::decide();
-        run(pattern, target, cfg, &mut driver)
+        run_prepared(pattern, target, cfg, &mut driver, run)
     }
 
     fn find_embedding(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<NodeId>> {
         let mut driver = Driver::find();
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run_unprepared(pattern, target, &mut driver, run);
         driver.embedding
     }
 
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64 {
         let mut driver = Driver::count(limit);
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run_unprepared(pattern, target, &mut driver, run);
         driver.count
     }
 }
 
-fn run(
-    pattern: &LabeledGraph,
-    target: &LabeledGraph,
-    cfg: &MatchConfig,
-    driver: &mut Driver,
-) -> MatchOutcome {
-    if pattern.node_count() == 0 {
-        driver.on_embedding(&[]);
-        return MatchOutcome {
-            found: true,
-            complete: true,
-            nodes_expanded: 0,
-        };
-    }
-    let mut work = Work::new(cfg.budget);
-    if !quick_reject(pattern, target) {
-        let plan = Plan::build(pattern, target);
-        let mut st = State {
-            p: pattern,
-            t: target,
-            plan: &plan,
-            core_p: vec![None; pattern.node_count()],
-            used_t: vec![false; target.node_count()],
-        };
-        let _ = search(&mut st, 0, &mut work, driver);
-    }
-    MatchOutcome {
-        found: driver.found,
-        complete: !work.exhausted,
-        nodes_expanded: work.nodes,
-    }
+/// The VF2+ search proper, for a pair that passed quick reject.
+fn run(pattern: &LabeledGraph, target: &LabeledGraph, work: &mut Work, driver: &mut Driver) {
+    let plan = Plan::build(pattern, target);
+    let mut st = State {
+        p: pattern,
+        t: target,
+        plan: &plan,
+        core_p: vec![None; pattern.node_count()],
+        used_t: vec![false; target.node_count()],
+    };
+    let _ = search(&mut st, 0, work, driver);
 }
 
 /// Static search plan: pattern-node visit order plus, for each position, an
