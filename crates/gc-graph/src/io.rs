@@ -14,11 +14,13 @@
 //! ...
 //! ```
 //!
-//! Blank lines are ignored. All reads and writes are buffered (the perf book
-//! is explicit that unbuffered small reads/writes dominate I/O time).
+//! Blank lines are ignored, and `\r\n` line ends are accepted. Writes are
+//! buffered (the perf book is explicit that unbuffered small writes dominate
+//! I/O time); reads take the whole input into one string and parse borrowed
+//! lines out of it, with no per-line allocation.
 
 use crate::{GraphBuilder, GraphDataset, GraphError, LabeledGraph};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 /// Writes a single graph record to `w` under the given record name.
@@ -50,11 +52,15 @@ pub fn save_dataset(path: impl AsRef<Path>, d: &GraphDataset) -> std::io::Result
 }
 
 /// Reads all graph records from `r`.
-pub fn read_dataset(r: impl Read) -> Result<GraphDataset, GraphError> {
-    let reader = BufReader::new(r);
+pub fn read_dataset(mut r: impl Read) -> Result<GraphDataset, GraphError> {
+    let mut text = String::new();
+    r.read_to_string(&mut text)?;
     let mut graphs = Vec::new();
-    let mut lines = NumberedLines::new(reader);
-    while let Some((lineno, first)) = lines.next_nonblank()? {
+    let mut lines = NumberedLines {
+        lines: text.lines(),
+        lineno: 0,
+    };
+    while let Some((lineno, first)) = lines.next_nonblank() {
         if !first.starts_with('#') {
             return Err(GraphError::parse(
                 lineno,
@@ -71,17 +77,17 @@ pub fn load_dataset(path: impl AsRef<Path>) -> Result<GraphDataset, GraphError> 
     read_dataset(std::fs::File::open(path)?)
 }
 
-fn read_record_body(lines: &mut NumberedLines<impl BufRead>) -> Result<LabeledGraph, GraphError> {
+fn read_record_body(lines: &mut NumberedLines<'_>) -> Result<LabeledGraph, GraphError> {
     let (lineno, text) = lines.expect_nonblank("node count")?;
-    let n: usize = parse_num(lineno, &text, "node count")?;
+    let n: usize = parse_num(lineno, text, "node count")?;
     let mut builder = GraphBuilder::new();
     for _ in 0..n {
         let (lineno, text) = lines.expect_nonblank("node label")?;
-        let label: u32 = parse_num(lineno, &text, "node label")?;
+        let label: u32 = parse_num(lineno, text, "node label")?;
         builder.add_node(label);
     }
     let (lineno, text) = lines.expect_nonblank("edge count")?;
-    let m: usize = parse_num(lineno, &text, "edge count")?;
+    let m: usize = parse_num(lineno, text, "edge count")?;
     for _ in 0..m {
         let (lineno, text) = lines.expect_nonblank("edge")?;
         let mut parts = text.split_whitespace();
@@ -107,39 +113,26 @@ fn parse_num<T: std::str::FromStr>(line: usize, text: &str, what: &str) -> Resul
         .map_err(|_| GraphError::parse(line, format!("invalid {what}: {text:?}")))
 }
 
-/// Iterator over trimmed, numbered, non-blank lines.
-struct NumberedLines<R> {
-    reader: R,
-    buf: String,
+/// Trimmed, numbered, non-blank lines borrowed from the input text.
+struct NumberedLines<'a> {
+    lines: std::str::Lines<'a>,
     lineno: usize,
 }
 
-impl<R: BufRead> NumberedLines<R> {
-    fn new(reader: R) -> Self {
-        NumberedLines {
-            reader,
-            buf: String::new(),
-            lineno: 0,
-        }
-    }
-
-    fn next_nonblank(&mut self) -> Result<Option<(usize, String)>, GraphError> {
-        loop {
-            self.buf.clear();
-            let read = self.reader.read_line(&mut self.buf)?;
-            if read == 0 {
-                return Ok(None);
-            }
+impl<'a> NumberedLines<'a> {
+    fn next_nonblank(&mut self) -> Option<(usize, &'a str)> {
+        for line in self.lines.by_ref() {
             self.lineno += 1;
-            let trimmed = self.buf.trim();
+            let trimmed = line.trim();
             if !trimmed.is_empty() {
-                return Ok(Some((self.lineno, trimmed.to_owned())));
+                return Some((self.lineno, trimmed));
             }
         }
+        None
     }
 
-    fn expect_nonblank(&mut self, what: &str) -> Result<(usize, String), GraphError> {
-        self.next_nonblank()?.ok_or_else(|| {
+    fn expect_nonblank(&mut self, what: &str) -> Result<(usize, &'a str), GraphError> {
+        self.next_nonblank().ok_or_else(|| {
             GraphError::parse(
                 self.lineno + 1,
                 format!("unexpected end of input: expected {what}"),
@@ -213,6 +206,33 @@ mod tests {
     fn bad_number_reports_line() {
         let err = read_dataset("# g\nxyz\n".as_bytes()).unwrap_err();
         assert!(format!("{err}").contains("line 2"));
+    }
+
+    #[test]
+    fn crlf_line_ends_accepted() {
+        let text = "# 0\r\n3\r\n3\r\n1\r\n4\r\n\r\n2\r\n0 1\r\n1 2\r\n# 1\r\n1\r\n9\r\n0\r\n";
+        let d = read_dataset(text.as_bytes()).unwrap();
+        assert_eq!(d.len(), 2);
+        assert_eq!(d.graph(crate::GraphId(0)).labels(), &[3, 1, 4]);
+        assert_eq!(d.graph(crate::GraphId(0)).edge_count(), 2);
+        assert_eq!(d.graph(crate::GraphId(1)).labels(), &[9]);
+        // Line numbers count CRLF lines like LF lines.
+        let err = read_dataset("# g\r\n\r\n2\r\nx\r\n".as_bytes()).unwrap_err();
+        assert!(format!("{err}").contains("line 4"), "{err}");
+    }
+
+    #[test]
+    fn no_final_newline() {
+        let d = read_dataset("# 0\n2\n5\n6\n1\n0 1".as_bytes()).unwrap();
+        assert_eq!(d.len(), 1);
+        assert_eq!(d.graph(crate::GraphId(0)).edge_count(), 1);
+        // A record cut short at the last line reports the line after it.
+        let err = read_dataset("# g\n3\n1".as_bytes()).unwrap_err();
+        let msg = format!("{err}");
+        assert!(
+            msg.contains("line 4") && msg.contains("node label"),
+            "{msg}"
+        );
     }
 
     #[test]

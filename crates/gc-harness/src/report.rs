@@ -13,7 +13,7 @@
 //!       "name": "smoke-aids-zz-hd",
 //!       "config": { "dataset": "AIDS", "...": "..." },
 //!       "counters": { "queries": 60, "cache_assisted": 31, "...": 0 },
-//!       "advisory": { "wall_ms": 12.75 }
+//!       "advisory": { "wall_ms": 12.75, "setup_ms": 4.5 }
 //!     }
 //!   ]
 //! }
@@ -24,6 +24,13 @@
 //! both optional and **never** gated — [`MatrixReport::compare`] ignores
 //! it entirely. `gc bench --json` omits `advisory` unless `--timings` is
 //! passed, which keeps the default output bit-identical across runs.
+//!
+//! `advisory.wall_ms` covers the whole scenario; `advisory.setup_ms` is its
+//! setup share: dataset and workload generation, Method M build, cache
+//! build and, for `gc bench --serve`, the daemon's bind. `setup_ms` was
+//! added without a version bump: `--check` never reads `advisory`, and
+//! [`MatrixReport::from_json`] reads a missing key as 0, so reports with
+//! and without it parse and compare alike.
 
 use crate::json::{parse, Json};
 
@@ -43,6 +50,10 @@ pub struct ScenarioReport {
     /// Advisory wall-clock for the whole scenario (generate + replay),
     /// milliseconds. Never compared by the gate.
     pub wall_ms: f64,
+    /// Advisory wall-clock for the scenario's setup (generation, Method M
+    /// and cache build, daemon bind), milliseconds; part of `wall_ms`.
+    /// Never compared by the gate.
+    pub setup_ms: f64,
 }
 
 impl ScenarioReport {
@@ -144,14 +155,15 @@ impl MatrixReport {
                     ),
                 ];
                 if include_timings {
+                    // Round to centi-milliseconds: enough for a human,
+                    // stable to print.
+                    let ms = |v: f64| Json::Float((v * 100.0).round() / 100.0);
                     fields.push((
                         "advisory".to_string(),
-                        Json::Obj(vec![(
-                            "wall_ms".to_string(),
-                            // Round to centi-milliseconds: enough for a
-                            // human, stable to print.
-                            Json::Float((s.wall_ms * 100.0).round() / 100.0),
-                        )]),
+                        Json::Obj(vec![
+                            ("wall_ms".to_string(), ms(s.wall_ms)),
+                            ("setup_ms".to_string(), ms(s.setup_ms)),
+                        ]),
                     ));
                 }
                 Json::Obj(fields)
@@ -218,16 +230,18 @@ impl MatrixReport {
                         .ok_or_else(|| format!("scenario {name:?} counter {k:?} is not a u64"))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            let wall_ms = s
-                .get("advisory")
-                .and_then(|a| a.get("wall_ms"))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
+            let advisory = |key: &str| {
+                s.get("advisory")
+                    .and_then(|a| a.get(key))
+                    .and_then(Json::as_f64)
+                    .unwrap_or(0.0)
+            };
             scenarios.push(ScenarioReport {
                 name,
                 config,
                 counters,
-                wall_ms,
+                wall_ms: advisory("wall_ms"),
+                setup_ms: advisory("setup_ms"),
             });
         }
         Ok(MatrixReport {
@@ -320,12 +334,14 @@ mod tests {
                     config: vec![("dataset".into(), "AIDS".into())],
                     counters: vec![("queries".into(), 60), ("gc_tests".into(), 100)],
                     wall_ms: 12.345,
+                    setup_ms: 4.567,
                 },
                 ScenarioReport {
                     name: "b".into(),
                     config: vec![],
                     counters: vec![("queries".into(), 0)],
                     wall_ms: 0.0,
+                    setup_ms: 0.0,
                 },
             ],
         }
@@ -342,6 +358,7 @@ mod tests {
         assert_eq!(back.scenarios[0].counters, r.scenarios[0].counters);
         assert_eq!(back.scenarios[0].config, r.scenarios[0].config);
         assert_eq!(back.scenarios[0].wall_ms, 0.0);
+        assert_eq!(back.scenarios[0].setup_ms, 0.0);
         // Byte-stable: re-serializing reproduces the exact bytes.
         assert_eq!(back.to_json(false), text);
     }
@@ -349,8 +366,29 @@ mod tests {
     #[test]
     fn json_round_trip_with_timings() {
         let r = sample();
-        let back = MatrixReport::from_json(&r.to_json(true)).unwrap();
+        let text = r.to_json(true);
+        let back = MatrixReport::from_json(&text).unwrap();
         assert!((back.scenarios[0].wall_ms - 12.35).abs() < 1e-9);
+        assert!((back.scenarios[0].setup_ms - 4.57).abs() < 1e-9);
+        assert_eq!(back.to_json(true), text);
+        // Timings never reach the gate.
+        assert!(MatrixReport::compare(&r, &back, 0.0).is_empty());
+    }
+
+    #[test]
+    fn advisory_without_setup_ms_still_parses() {
+        // A report written before `setup_ms` existed: same schema version.
+        let text = format!(
+            "{{\"schema_version\": {SCHEMA_VERSION}, \"suite\": \"smoke\", \"scenarios\": [\
+             {{\"name\": \"b\", \"config\": {{}}, \"counters\": {{\"queries\": 0}}, \
+             \"advisory\": {{\"wall_ms\": 3.5}}}}]}}"
+        );
+        let back = MatrixReport::from_json(&text).unwrap();
+        assert_eq!(back.scenarios[0].wall_ms, 3.5);
+        assert_eq!(back.scenarios[0].setup_ms, 0.0);
+        let mut base = sample();
+        base.scenarios.remove(0);
+        assert!(MatrixReport::compare(&base, &back, 0.0).is_empty());
     }
 
     #[test]
@@ -428,6 +466,7 @@ mod tests {
             config: vec![],
             counters: vec![],
             wall_ms: 0.0,
+            setup_ms: 0.0,
         });
         assert!(MatrixReport::compare(&base, &extra, 0.0).is_empty());
     }

@@ -13,7 +13,8 @@ use std::time::Instant;
 /// service API — with the scenario's client thread count (suites use 1,
 /// where `run_batch` degenerates to an in-order sequential replay and the
 /// counters are a pure function of the seeds). Wall-clock covers the whole
-/// scenario, generation included, and is advisory only.
+/// scenario, generation included, with the setup share (generation plus
+/// Method M and cache build) timed apart; both are advisory only.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
     let t0 = Instant::now();
     let dataset = scenario
@@ -28,6 +29,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
         scenario.workload_seed,
     );
     let cache = build_cache(scenario, &dataset)?;
+    let setup_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let records: Vec<QueryRecord> = cache
         .run_batch(workload.graphs().map(QueryRequest::from))
@@ -76,6 +78,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
         config: scenario.config_echo(),
         counters,
         wall_ms,
+        setup_ms,
     })
 }
 

@@ -5,8 +5,12 @@
 //! evaluation); each trie node stores `(graph, occurrence count)` postings.
 //! A query is decomposed the same way; a dataset graph remains a candidate
 //! only if, for every query feature, it holds at least as many occurrences.
+//!
+//! The build walks each dataset graph's paths straight down the trie
+//! (`paths::index_paths`): no per-graph feature map, no second descent per
+//! `(graph, feature)` pair.
 
-use crate::paths::{enumerate_paths, PathFeature, PathProfile};
+use crate::paths::{enumerate_paths, index_paths, query_features, PathFeature, PathIndex};
 use crate::trie::LabelTrie;
 use crate::{CandidateSet, FilterIndex};
 use gc_graph::{idset, GraphDataset, GraphId, LabeledGraph};
@@ -62,22 +66,17 @@ pub struct PathTrie {
 impl PathTrie {
     /// Builds the index over a dataset.
     pub fn build(dataset: &GraphDataset, cfg: GgsxConfig) -> Self {
-        let mut trie: LabelTrie<Vec<(GraphId, u32)>> = LabelTrie::new();
-        let mut overflow = Vec::new();
-        let mut distinct = vec![0u32; dataset.len()];
-        for (id, g) in dataset.iter() {
-            match enumerate_paths(g, cfg.max_path_len, cfg.work_cap) {
-                PathProfile::Counts(counts) => {
-                    distinct[id.index()] = counts.len() as u32;
-                    for (feature, count) in counts {
-                        trie.posting_mut(&feature).push((id, count));
-                    }
-                }
-                PathProfile::Overflow => overflow.push(id),
-            }
-        }
-        // Postings were appended in ascending id order per feature already
-        // (dataset iteration order), so they are sorted by construction.
+        let PathIndex {
+            trie,
+            overflow,
+            distinct,
+        } = index_paths(
+            dataset,
+            cfg.max_path_len,
+            cfg.work_cap,
+            false,
+            |posting: &mut Vec<(GraphId, u32)>, id, count, _| posting.push((id, count)),
+        );
         PathTrie {
             trie,
             overflow,
@@ -124,20 +123,16 @@ impl PathTrie {
         &self.overflow
     }
 
-    /// Decomposes a query into its feature multiset using this index's
-    /// configuration. `None` signals enumeration overflow (treat every
-    /// graph as a candidate).
-    pub fn query_features(&self, query: &LabeledGraph) -> Option<Vec<(PathFeature, u32)>> {
-        match enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap) {
-            PathProfile::Counts(c) => {
-                let mut v: Vec<(PathFeature, u32)> = c.into_iter().collect();
-                // Deterministic processing order; longer features first as
-                // they are usually the most selective.
-                v.sort_unstable_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
-                Some(v)
-            }
-            PathProfile::Overflow => None,
-        }
+    /// The feature trie: per path feature, `(graph, occurrence count)`
+    /// postings in ascending graph-id order.
+    pub fn trie(&self) -> &LabelTrie<Vec<(GraphId, u32)>> {
+        &self.trie
+    }
+
+    /// Per graph (indexed by id): its number of distinct path features, 0
+    /// for overflowed graphs.
+    pub fn distinct(&self) -> &[u32] {
+        &self.distinct
     }
 
     /// Core filtering routine shared with Grapes: intersect, over all query
@@ -185,7 +180,7 @@ impl FilterIndex for PathTrie {
     }
 
     fn filter(&self, query: &LabeledGraph) -> CandidateSet {
-        match self.query_features(query) {
+        match query_features(query, self.cfg.max_path_len, self.cfg.work_cap) {
             Some(features) => self.filter_by_counts(&features),
             None => idset::full(self.graph_count),
         }

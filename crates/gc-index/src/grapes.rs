@@ -10,9 +10,10 @@
 //! location store live here; the thread pool lives in `gc-methods`, and the
 //! location lists feed the space-accounting experiments (Grapes' index is
 //! markedly larger than GGSX's, which the paper's space discussion relies
-//! on).
+//! on). The build is GGSX's trie walk (`paths::index_paths`) with start
+//! nodes recorded as it goes.
 
-use crate::paths::{enumerate_paths_located, LocatedProfile, PathFeature};
+use crate::paths::{enumerate_paths, index_paths, query_features, PathIndex};
 use crate::trie::LabelTrie;
 use crate::{CandidateSet, FilterIndex};
 use gc_graph::{idset, GraphDataset, GraphId, LabeledGraph, NodeId};
@@ -36,7 +37,7 @@ impl Default for GrapesConfig {
 }
 
 /// One posting: a graph, its occurrence count, and the sorted start nodes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LocatedPosting {
     /// Graph id, occurrence count, start-node list.
     pub entries: Vec<(GraphId, u32, Vec<NodeId>)>,
@@ -56,20 +57,19 @@ pub struct GrapesIndex {
 impl GrapesIndex {
     /// Builds the index over a dataset.
     pub fn build(dataset: &GraphDataset, cfg: GrapesConfig) -> Self {
-        let mut trie: LabelTrie<LocatedPosting> = LabelTrie::new();
-        let mut overflow = Vec::new();
-        let mut distinct = vec![0u32; dataset.len()];
-        for (id, g) in dataset.iter() {
-            match enumerate_paths_located(g, cfg.max_path_len, cfg.work_cap) {
-                LocatedProfile::Counts(counts) => {
-                    distinct[id.index()] = counts.len() as u32;
-                    for (feature, (count, starts)) in counts {
-                        trie.posting_mut(&feature).entries.push((id, count, starts));
-                    }
-                }
-                LocatedProfile::Overflow => overflow.push(id),
-            }
-        }
+        let PathIndex {
+            trie,
+            overflow,
+            distinct,
+        } = index_paths(
+            dataset,
+            cfg.max_path_len,
+            cfg.work_cap,
+            true,
+            |posting: &mut LocatedPosting, id, count, starts| {
+                posting.entries.push((id, count, starts))
+            },
+        );
         GrapesIndex {
             trie,
             overflow,
@@ -94,15 +94,21 @@ impl GrapesIndex {
         })
     }
 
-    fn query_features(&self, query: &LabeledGraph) -> Option<Vec<(PathFeature, u32)>> {
-        match crate::paths::enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap) {
-            crate::paths::PathProfile::Counts(c) => {
-                let mut v: Vec<(PathFeature, u32)> = c.into_iter().collect();
-                v.sort_unstable_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
-                Some(v)
-            }
-            crate::paths::PathProfile::Overflow => None,
-        }
+    /// The feature trie: per path feature, `(graph, count, start nodes)`
+    /// entries in ascending graph-id order.
+    pub fn trie(&self) -> &LabelTrie<LocatedPosting> {
+        &self.trie
+    }
+
+    /// Ids of graphs indexed conservatively due to enumeration overflow.
+    pub fn overflowed(&self) -> &[GraphId] {
+        &self.overflow
+    }
+
+    /// Per graph (indexed by id): its number of distinct path features, 0
+    /// for overflowed graphs.
+    pub fn distinct(&self) -> &[u32] {
+        &self.distinct
     }
 }
 
@@ -112,7 +118,7 @@ impl FilterIndex for GrapesIndex {
     }
 
     fn filter(&self, query: &LabeledGraph) -> CandidateSet {
-        let Some(features) = self.query_features(query) else {
+        let Some(features) = query_features(query, self.cfg.max_path_len, self.cfg.work_cap) else {
             return idset::full(self.graph_count);
         };
         // Rarest-posting-first galloping intersection (see PathTrie).
@@ -165,8 +171,7 @@ impl FilterIndex for GrapesIndex {
     }
 
     fn filter_supergraph(&self, query: &LabeledGraph) -> Option<CandidateSet> {
-        let profile =
-            crate::paths::enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap);
+        let profile = enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap);
         let Some(features) = profile.counts() else {
             return Some(idset::full(self.graph_count));
         };

@@ -12,6 +12,14 @@
 //!   fingerprint bitmaps over tree features (≤ 6 nodes) and cycle features
 //!   (≤ 8 nodes), 4096 bits by default.
 //!
+//! The two path indexes share one build (`paths::index_paths`): a DFS per
+//! dataset graph that counts each path straight into the index's
+//! [`trie::LabelTrie`] while walking it, then appends the graph's postings
+//! in one pass. It produces exactly the index that inserting each graph's
+//! [`paths::enumerate_paths`] map would, at a fraction of the cost; the
+//! query side still uses [`paths::enumerate_paths`] /
+//! [`paths::query_features`].
+//!
 //! All filters are **sound**: the candidate set they return is always a
 //! superset of the true answer set (no false negatives) — the property
 //! tests in this crate check exactly that. Graphs whose feature enumeration

@@ -8,9 +8,17 @@
 //! is all that soundness needs: `g ⊆ G` implies `count_g(p) ≤ count_G(p)`
 //! for every label sequence `p`, because an embedding maps distinct simple
 //! paths of `g` to distinct simple paths of `G` with identical labels.
+//!
+//! Two consumers, two shapes. The query side ([`enumerate_paths`],
+//! [`query_features`]) collects one graph's features into a map. The
+//! dataset side of GGSX and Grapes never builds that map: one DFS per graph
+//! counts each path straight into the index's [`LabelTrie`], one child step
+//! per path extension, and appends the graph's postings when its walk
+//! completes (`index_paths`).
 
 use crate::fx::FxHashMap as HashMap;
-use gc_graph::{Label, LabeledGraph, NodeId};
+use crate::trie::LabelTrie;
+use gc_graph::{GraphDataset, GraphId, Label, LabeledGraph, NodeId};
 
 /// A path feature: the sequence of vertex labels along the path.
 pub type PathFeature = Vec<Label>;
@@ -46,7 +54,8 @@ impl PathProfile {
 }
 
 /// Like [`enumerate_paths`] but also records, for every feature, the set of
-/// start nodes at which an occurrence begins (Grapes' location lists).
+/// start nodes at which an occurrence begins (the shape of Grapes' location
+/// lists).
 #[derive(Debug, Clone)]
 pub enum LocatedProfile {
     /// label sequence → (occurrence count, sorted start-node list).
@@ -133,7 +142,185 @@ fn dfs(
     true
 }
 
-/// Enumerates paths with per-feature start-node location lists (Grapes).
+/// A query's path features in filter order: longer features first (they are
+/// usually the most selective), ties broken by label sequence. `None` when
+/// enumeration exceeds `work_cap` (every graph is then a candidate).
+pub fn query_features(
+    query: &LabeledGraph,
+    max_len: usize,
+    work_cap: u64,
+) -> Option<Vec<(PathFeature, u32)>> {
+    let mut v: Vec<(PathFeature, u32)> = match enumerate_paths(query, max_len, work_cap) {
+        PathProfile::Counts(c) => c.into_iter().collect(),
+        PathProfile::Overflow => return None,
+    };
+    v.sort_unstable_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
+    Some(v)
+}
+
+/// The dataset side of a path index as [`index_paths`] builds it.
+pub(crate) struct PathIndex<P> {
+    /// Every feature of every non-overflowed graph, one posting entry per
+    /// `(feature, graph)` pair, in ascending graph-id order.
+    pub trie: LabelTrie<P>,
+    /// Graphs whose walk exceeded the work cap, ascending.
+    pub overflow: Vec<GraphId>,
+    /// Per graph: number of distinct features (0 for overflowed graphs).
+    pub distinct: Vec<u32>,
+}
+
+/// Builds a path index over `dataset` with one DFS per graph that descends
+/// the trie as it extends a path: each extension is one child lookup (or
+/// insert) and one counter increment on the reached node.
+///
+/// When a graph's walk completes, `post(posting, id, count, starts)` is
+/// called once per feature the graph holds, with its occurrence count and
+/// — if `locate` — its sorted, duplicate-free start nodes (empty
+/// otherwise). Graphs are walked in id order, so each posting receives its
+/// entries in ascending id order.
+///
+/// Work units and the overflow rule are those of [`enumerate_paths`]: a
+/// graph overflows exactly when `enumerate_paths` would return
+/// [`PathProfile::Overflow`]. An overflowing graph posts nothing and its
+/// walk's new trie nodes are rolled back, so the index is the same as if
+/// every graph's [`enumerate_paths`] map had been inserted feature by
+/// feature.
+pub(crate) fn index_paths<P: Default>(
+    dataset: &GraphDataset,
+    max_len: usize,
+    work_cap: u64,
+    locate: bool,
+    mut post: impl FnMut(&mut P, GraphId, u32, Vec<NodeId>),
+) -> PathIndex<P> {
+    let mut trie = LabelTrie::new();
+    let mut overflow = Vec::new();
+    let mut distinct = vec![0u32; dataset.len()];
+    let mut walk = TrieWalk {
+        max_len,
+        work_cap,
+        locate,
+        work: 0,
+        on_path: Vec::new(),
+        counts: Vec::new(),
+        starts: Vec::new(),
+        touched: Vec::new(),
+    };
+    for (id, g) in dataset.iter() {
+        if !walk.walk(&mut trie, g) {
+            overflow.push(id);
+            continue;
+        }
+        distinct[id.index()] = walk.touched.len() as u32;
+        for node in walk.touched.drain(..) {
+            let count = std::mem::take(&mut walk.counts[node as usize]);
+            let starts = if locate {
+                std::mem::take(&mut walk.starts[node as usize])
+            } else {
+                Vec::new()
+            };
+            post(trie.posting_at_mut(node), id, count, starts);
+        }
+    }
+    PathIndex {
+        trie,
+        overflow,
+        distinct,
+    }
+}
+
+/// Scratch state of [`index_paths`], reused across graphs. Per-node
+/// arrays are indexed by trie node and hold the current graph's tallies;
+/// `touched` lists the nodes with a non-zero count, in first-visit order.
+struct TrieWalk {
+    max_len: usize,
+    work_cap: u64,
+    locate: bool,
+    work: u64,
+    on_path: Vec<bool>,
+    counts: Vec<u32>,
+    starts: Vec<Vec<NodeId>>,
+    touched: Vec<u32>,
+}
+
+impl TrieWalk {
+    /// Counts every simple path of `g` into `trie`. On overflow returns
+    /// `false` with `trie` truncated back to its node count at entry and
+    /// the scratch tallies cleared.
+    fn walk<P: Default>(&mut self, trie: &mut LabelTrie<P>, g: &LabeledGraph) -> bool {
+        let nodes_before = trie.node_count();
+        self.work = 0;
+        self.on_path.clear();
+        self.on_path.resize(g.node_count(), false);
+        for start in g.nodes() {
+            self.on_path[start as usize] = true;
+            let node = trie.child_or_insert(0, g.label(start));
+            let ok = self.dfs(trie, g, start, start, node, self.max_len);
+            self.on_path[start as usize] = false;
+            if !ok {
+                trie.truncate(nodes_before);
+                for node in self.touched.drain(..) {
+                    self.counts[node as usize] = 0;
+                    if self.locate {
+                        self.starts[node as usize].clear();
+                    }
+                }
+                return false;
+            }
+        }
+        true
+    }
+
+    /// One step of [`enumerate_paths`]' DFS: `v` is the path's last vertex
+    /// and `node` the trie node of the path's label sequence.
+    fn dfs<P: Default>(
+        &mut self,
+        trie: &mut LabelTrie<P>,
+        g: &LabeledGraph,
+        start: NodeId,
+        v: NodeId,
+        node: u32,
+        remaining: usize,
+    ) -> bool {
+        self.work += 1;
+        if self.work > self.work_cap {
+            return false;
+        }
+        let n = node as usize;
+        if n >= self.counts.len() {
+            self.counts.resize(n + 1, 0);
+            if self.locate {
+                self.starts.resize_with(n + 1, Vec::new);
+            }
+        }
+        if self.counts[n] == 0 {
+            self.touched.push(node);
+        }
+        self.counts[n] += 1;
+        // Starts are walked in ascending order, so the list stays sorted
+        // and a repeat can only be the last entry.
+        if self.locate && self.starts[n].last() != Some(&start) {
+            self.starts[n].push(start);
+        }
+        if remaining == 0 {
+            return true;
+        }
+        for &w in g.neighbors(v) {
+            if !self.on_path[w as usize] {
+                self.on_path[w as usize] = true;
+                let child = trie.child_or_insert(node, g.label(w));
+                let ok = self.dfs(trie, g, start, w, child, remaining - 1);
+                self.on_path[w as usize] = false;
+                if !ok {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Enumerates paths with per-feature start-node location lists, one graph
+/// at a time (the fragment decomposition uses it).
 pub fn enumerate_paths_located(g: &LabeledGraph, max_len: usize, work_cap: u64) -> LocatedProfile {
     let base = match enumerate_paths(g, max_len, work_cap) {
         PathProfile::Overflow => return LocatedProfile::Overflow,

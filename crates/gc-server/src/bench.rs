@@ -64,6 +64,7 @@ pub fn run_scenario_served(scenario: &Scenario) -> Result<ScenarioReport, String
         },
     )
     .map_err(|e| format!("scenario {:?}: cannot bind {socket:?}: {e}", scenario.name))?;
+    let setup_ms = t0.elapsed().as_secs_f64() * 1e3;
     let shutdown = server.shutdown_handle();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -88,6 +89,7 @@ pub fn run_scenario_served(scenario: &Scenario) -> Result<ScenarioReport, String
         config: scenario.config_echo(),
         counters: assemble_counters(scenario, &records, &stats)?,
         wall_ms,
+        setup_ms,
     })
 }
 

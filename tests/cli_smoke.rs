@@ -228,7 +228,17 @@ fn bench_is_deterministic_and_gates_drift() {
     );
     let timed_text = std::fs::read_to_string(&timed).unwrap();
     assert!(timed_text.contains("\"advisory\""));
+    assert!(timed_text.contains("\"setup_ms\""));
     let timed_report = MatrixReport::from_json(&timed_text).unwrap();
+    for s in &timed_report.scenarios {
+        assert!(
+            s.setup_ms > 0.0 && s.setup_ms <= s.wall_ms,
+            "{}: setup {} ms within wall {} ms",
+            s.name,
+            s.setup_ms,
+            s.wall_ms
+        );
+    }
     assert_eq!(
         timed_report.scenarios[0].counters, report.scenarios[0].counters,
         "--timings must not change deterministic counters"
